@@ -71,10 +71,8 @@ from .schemes import (
 )
 from .sources import (
     CoherentSource,
-    CountRecord,
     FringeScan,
     HeraldedSource,
-    sample_counts,
     simulate_fringe_scan,
     simulate_interrogation_prob,
 )

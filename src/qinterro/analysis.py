@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import jones
+from ._validate import finite, unit_interval
 from .exceptions import (
     DomainError,
     InfeasibleError,
@@ -59,8 +60,8 @@ class VisibilityResult:
 
 def visibility_from_extrema(d_max: float, d_min: float) -> float:
     """(d_max - d_min)/(d_max + d_min) for measured fringe extremes."""
-    if not (math.isfinite(d_max) and math.isfinite(d_min)):
-        raise DomainError("extrema must be finite")
+    finite("d_max", d_max)
+    finite("d_min", d_min)
     if d_min < 0.0 or d_max < d_min:
         raise DomainError(f"need d_max >= d_min >= 0, got ({d_max}, {d_min})")
     total = d_max + d_min
@@ -149,36 +150,25 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     )
 
 
-def _check_eps(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-
-
-def _check_mu(name: str, mu: float) -> None:
-    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise DomainError(f"{name} must be in [0, 1], got {mu}")
-
-
 def visibility_no_absorber(theta: float, epsilon: float) -> float:
     """Fringe visibility with an empty bench: eps |sin 2 theta|."""
-    _check_eps(epsilon)
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
+    unit_interval("epsilon", epsilon)
+    finite("theta", theta)
     return epsilon * abs(math.sin(2.0 * theta))
 
 
 def visibility_one_arm(mu: float, epsilon: float) -> float:
     """Visibility with a one-arm object: 2 eps sqrt(mu) / (1 + mu)."""
-    _check_mu("mu", mu)
-    _check_eps(epsilon)
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     return 2.0 * epsilon * math.sqrt(mu) / (1.0 + mu)
 
 
 def visibility_two_arm(mu1: float, mu2: float, epsilon: float) -> float:
     """Visibility with attenuation in both arms: 2 eps sqrt(mu1 mu2)/(mu1 + mu2)."""
-    _check_mu("mu1", mu1)
-    _check_mu("mu2", mu2)
-    _check_eps(epsilon)
+    unit_interval("mu1", mu1)
+    unit_interval("mu2", mu2)
+    unit_interval("epsilon", epsilon)
     if mu1 + mu2 == 0.0:
         raise UndefinedVisibilityError("both arms are fully opaque")
     return 2.0 * epsilon * math.sqrt(mu1 * mu2) / (mu1 + mu2)
@@ -206,7 +196,7 @@ def estimate_mu(visibility: float, epsilon: float = 1.0) -> float:
     Solves 2 eps sqrt(mu)/(1 + mu) = V on the physical branch mu <= 1. The
     two mathematical roots are reciprocal; the discarded one is 1/mu.
     """
-    _check_eps(epsilon)
+    unit_interval("epsilon", epsilon)
     if not math.isfinite(visibility) or visibility <= 0.0:
         raise DomainError(f"visibility must be positive, got {visibility}")
     x = _branch_root(visibility, epsilon, larger=False)
@@ -225,8 +215,8 @@ def estimate_mu_two_arm(
     one with mu2 <= mu1, larger_branch=True the reciprocal partner (which can
     exceed 1 and then describes gain rather than loss).
     """
-    _check_mu("mu1", mu1)
-    _check_eps(epsilon)
+    unit_interval("mu1", mu1)
+    unit_interval("epsilon", epsilon)
     if not math.isfinite(visibility) or visibility <= 0.0:
         raise DomainError(f"visibility must be positive, got {visibility}")
     if mu1 == 0.0:
@@ -263,7 +253,7 @@ def fit_epsilon_visibility(
     in eps; the minimizer is sum(g V)/sum(g^2), clamped to [0, 1]. Returns
     (epsilon_hat, rmse at the clamped value).
     """
-    _check_mu("mu1", mu1)
+    unit_interval("mu1", mu1)
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise DomainError("need at least 1 (mu2, visibility) pair")
@@ -288,9 +278,9 @@ def weak_value(theta: float, delta: float, mu: float) -> complex:
     (cos theta + sin theta e^{i delta} sqrt(mu)) / sqrt(2) for the input
     (|H> + |V>)/sqrt(2) post-selected at angle theta.
     """
-    _check_mu("mu", mu)
-    if not (math.isfinite(theta) and math.isfinite(delta)):
-        raise DomainError("theta and delta must be finite")
+    unit_interval("mu", mu)
+    finite("theta", theta)
+    finite("delta", delta)
     return _SQRT_HALF * (
         math.cos(theta) + math.sin(theta) * cmath.exp(1j * delta) * math.sqrt(mu)
     )
@@ -303,15 +293,14 @@ def weak_value_detection_identity(phase: float, mu: float) -> float:
     (1 + mu + 2 sqrt(mu) cos phase)/4, with phase the total accumulated
     phase phi + delta.
     """
-    _check_mu("mu", mu)
-    if not math.isfinite(phase):
-        raise DomainError("phase must be finite")
+    unit_interval("mu", mu)
+    finite("phase", phase)
     return abs(weak_value(math.pi / 4.0, phase, mu)) ** 2
 
 
 def weak_value_visibility(mu: float) -> float:
     """Visibility implied by the weak-value picture: 2 sqrt(mu)/(1 + mu)."""
-    _check_mu("mu", mu)
+    unit_interval("mu", mu)
     return 2.0 * math.sqrt(mu) / (1.0 + mu)
 
 

@@ -16,6 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import jones
+from ._validate import finite, unit_interval
 from .exceptions import DomainError, InternalConsistencyError
 
 _QUARTER_PI = math.pi / 4
@@ -35,10 +36,8 @@ class OneArmAbsorber:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
-            raise DomainError(f"mu must be in [0, 1], got {self.mu}")
-        if not math.isfinite(self.delta):
-            raise DomainError("delta must be finite")
+        unit_interval("mu", self.mu)
+        finite("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,9 @@ class TwoArmAbsorber:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-                raise DomainError(f"{name} must be in [0, 1], got {mu}")
-        if not math.isfinite(self.delta):
-            raise DomainError("delta must be finite")
+        unit_interval("mu1", self.mu1)
+        unit_interval("mu2", self.mu2)
+        finite("delta", self.delta)
 
 
 AbsorberSpec = Union[NoAbsorber, OneArmAbsorber, TwoArmAbsorber]
@@ -82,14 +79,10 @@ class BenchConfig:
     contrast_envelope: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
-            raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        g = self.contrast_envelope
-        if not (math.isfinite(g) and 0.0 <= g <= 1.0):
-            raise DomainError(f"contrast_envelope must be in [0, 1], got {g}")
+        unit_interval("epsilon", self.epsilon)
+        unit_interval("contrast_envelope", self.contrast_envelope)
         for name in ("phi1", "phi2", "theta_post", "hwp1_angle", "hwp2_angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+            finite(name, getattr(self, name))
 
     @property
     def phi(self) -> float:
@@ -156,8 +149,7 @@ def detection_prob_washed(mu: float, theta_post: float = _QUARTER_PI) -> float:
     With no interference term the two paths add incoherently:
     (mu cos^2 theta + sin^2 theta) / 2, which is (1 + mu)/4 at theta = pi/4.
     """
-    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
+    unit_interval("mu", mu)
     c, s = math.cos(theta_post), math.sin(theta_post)
     return 0.5 * (mu * c * c + s * s)
 
@@ -168,11 +160,9 @@ def two_arm_detection(mu1: float, mu2: float, epsilon: float, phi: float) -> flo
     (mu1 + mu2 + 2 eps sqrt(mu1 mu2) cos phi) / 4 at the standard bench
     settings (theta_post = pi/4, full contrast).
     """
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-            raise DomainError(f"{name} must be in [0, 1], got {mu}")
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
+    unit_interval("mu1", mu1)
+    unit_interval("mu2", mu2)
+    unit_interval("epsilon", epsilon)
     return 0.25 * (mu1 + mu2 + 2.0 * epsilon * math.sqrt(mu1 * mu2) * math.cos(phi))
 
 
@@ -184,8 +174,6 @@ def i_prob(mu: float, epsilon: float) -> float:
     opaque object and a pure input this is 3/4; for a transparent object it
     falls to 1/2.
     """
-    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     return 0.25 * (1.0 + 2.0 * epsilon - mu)

@@ -9,13 +9,13 @@ and refuse to extrapolate.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from ._validate import finite
 from .exceptions import CalibrationParseError, DomainError
 
 _HEADER = ("position_mm", "transmittance")
@@ -94,8 +94,7 @@ def load_calibration(path: Union[str, os.PathLike]) -> CalibrationTable:
 
 def mu_at(table: CalibrationTable, position: float) -> float:
     """Linearly interpolated transmittance at a position inside the table range."""
-    if not math.isfinite(position):
-        raise DomainError("position must be finite")
+    finite("position", position)
     lo, hi = float(table.positions[0]), float(table.positions[-1])
     if position < lo or position > hi:
         raise DomainError(

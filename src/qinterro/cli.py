@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._validate import finite
 from .analysis import (
     estimate_mu,
     estimate_mu_two_arm,
@@ -52,28 +53,47 @@ _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$"
 )
 
+# Column order of each report schema. The writers emit these headers and
+# _read_scan_csv recognises scan files and the summary section by them.
+_FRINGES_COLUMNS = ("theta_rad", "phase_rad", "counts", "expected_prob")
+_SUMMARY_COLUMNS = (
+    "theta_rad", "visibility", "std_error", "d_max", "d_min", "fit_offset",
+    "fit_amplitude", "fit_phase_rad", "used_fallback",
+)
+_SWEEP_MU_COLUMNS = (
+    "mu", "i_prob_ideal", "i_prob_measured_mc", "i_prob_reflectivity", "i_prob_jitter",
+)
+_COMPARE_COLUMNS = ("scheme", "parameter", "eta")
+# A bare scan file is phase_rad,counts[,...]; a fringes file puts theta_rad first.
+_BARE_HEADER = _FRINGES_COLUMNS[1:3]
+_THETA_HEADER = _FRINGES_COLUMNS[:3]
+
 
 class CliError(DomainError):
     """Bad command-line input."""
 
 
 def parse_angle(text: str) -> float:
-    """Parse a plain float or a pi expression like 'pi/8', '3pi/8', '0.5*pi'."""
+    """Parse a plain float or a pi expression like 'pi/8', '3pi/8', '0.5*pi'.
+
+    The angle must come out finite: nan, inf and pi/0 are rejected.
+    """
     text = text.strip()
     try:
-        return float(text)
+        angle = float(text)
     except ValueError:
-        pass
-    m = _ANGLE_RE.match(text)
-    if not m:
-        raise CliError(f"could not parse angle {text!r}")
-    coef = m.group(1)
-    sign = -1.0 if coef == "-" else 1.0
-    value = 1.0 if coef in ("", "+", "-") else float(coef)
-    angle = sign * abs(value) * math.pi if coef == "-" else value * math.pi
-    if m.group(2):
-        angle /= float(m.group(2))
-    return angle
+        m = _ANGLE_RE.match(text)
+        if not m:
+            raise CliError(f"could not parse angle {text!r}") from None
+        coef = m.group(1)
+        sign = -1.0 if coef == "-" else 1.0
+        value = 1.0 if coef in ("", "+", "-") else float(coef)
+        angle = sign * abs(value) * math.pi if coef == "-" else value * math.pi
+        if m.group(2):
+            if float(m.group(2)) == 0.0:
+                raise CliError(f"angle {text!r} divides by zero") from None
+            angle /= float(m.group(2))
+    return finite("angle", angle)
 
 
 def parse_angle_list(text: str) -> list[float]:
@@ -99,18 +119,34 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and float(value).is_integer():
-        return repr(float(value))
     return repr(float(value))
 
 
 def _config_comment(pairs: dict) -> str:
     body = " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
     return f"# config: {body}"
+
+
+def _csv_section(schema: str, columns: Sequence[str], rows, *comments: str) -> str:
+    """One CSV section: schema tag, comment lines, header, then the rows."""
+    lines = [f"# schema={schema}", *comments, ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_report(schema: str, columns: Sequence[str], rows, **fields) -> str:
+    """A JSON report: schema tag, extra top-level fields, rows as objects."""
+    records = [dict(zip(columns, row)) for row in rows]
+    payload = {"schema": schema, "rows": records, **fields}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -160,8 +196,8 @@ def cmd_fringes(args) -> int:
         "phase_grid": args.phase_grid,
         "thetas": args.thetas,
     }
-    point_lines = []
-    summary_lines = []
+    points = []
+    summaries = []
     for k, theta in enumerate(thetas):
         cfg = BenchConfig(
             epsilon=args.epsilon,
@@ -176,41 +212,24 @@ def cmd_fringes(args) -> int:
             windows_per_point=args.windows,
             seed=(args.seed, k),
         )
-        for phase, counts, prob in scan.points:
-            point_lines.append(
-                f"{_fmt(theta)},{_fmt(phase)},{int(counts)},{_fmt(prob)}"
-            )
-        res = fit_fringe(scan)
-        summary_lines.append(
-            ",".join(
-                [
-                    _fmt(theta),
-                    _fmt(res.visibility),
-                    _fmt(res.std_error),
-                    _fmt(res.d_max),
-                    _fmt(res.d_min),
-                    _fmt(res.fit_offset),
-                    _fmt(res.fit_amplitude),
-                    _fmt(res.fit_phase),
-                    _fmt(res.used_fallback),
-                ]
-            )
+        points.extend(
+            (theta, phase, int(counts), prob) for phase, counts, prob in scan.points
         )
+        res = fit_fringe(scan)
+        summaries.append((
+            theta, res.visibility, res.std_error, res.d_max, res.d_min,
+            res.fit_offset, res.fit_amplitude, res.fit_phase, res.used_fallback,
+        ))
         print(
             f"theta={theta:.6g}: V={res.visibility:.6g} +- {res.std_error:.2g}"
             + (" (fallback)" if res.used_fallback else "")
         )
 
-    lines = ["# schema=qinterro.fringes/1", _config_comment(meta)]
-    lines.append("theta_rad,phase_rad,counts,expected_prob")
-    lines.extend(point_lines)
-    lines.append("# schema=qinterro.fringes.summary/1")
-    lines.append(
-        "theta_rad,visibility,std_error,d_max,d_min,fit_offset,"
-        "fit_amplitude,fit_phase_rad,used_fallback"
+    _write_text(
+        args.output,
+        _csv_section("qinterro.fringes/1", _FRINGES_COLUMNS, points, _config_comment(meta))
+        + _csv_section("qinterro.fringes.summary/1", _SUMMARY_COLUMNS, summaries),
     )
-    lines.extend(summary_lines)
-    _write_text(args.output, "\n".join(lines) + "\n")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -255,65 +274,46 @@ def cmd_sweep_mu(args) -> int:
         with_jitter = i_prob_jitter(mu, args.epsilon, noise.dphi2)
         rows.append((mu, ideal, measured, with_refl, with_jitter))
 
+    schema = "qinterro.sweep_mu/1"
     if args.format == "json":
-        payload = {
-            "schema": "qinterro.sweep_mu/1",
-            "config": {k: meta[k] for k in sorted(meta)},
-            "rows": [
-                {
-                    "mu": r[0],
-                    "i_prob_ideal": r[1],
-                    "i_prob_measured_mc": r[2],
-                    "i_prob_reflectivity": r[3],
-                    "i_prob_jitter": r[4],
-                }
-                for r in rows
-            ],
-        }
-        _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = _json_report(schema, _SWEEP_MU_COLUMNS, rows, config=meta)
     else:
-        lines = ["# schema=qinterro.sweep_mu/1", _config_comment(meta)]
-        lines.append(
-            "mu,i_prob_ideal,i_prob_measured_mc,i_prob_reflectivity,i_prob_jitter"
-        )
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in r))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        text = _csv_section(schema, _SWEEP_MU_COLUMNS, rows, _config_comment(meta))
+    _write_text(args.output, text)
     print(f"wrote {args.output} ({len(rows)} points)")
     return EXIT_OK
 
 
 def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
+    """Read the scan points of a bare scan, or of one theta of a fringes file.
+
+    Reading stops at the fringes summary header.
+    """
     phases = []
     counts = []
-    header: Optional[list[str]] = None
+    per_theta: Optional[bool] = None
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
-                # A second schema tag starts the summary section; stop there.
-                if header is not None and "summary" in line:
-                    break
                 continue
             cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = [c.lower() for c in cells]
-                if header[:2] == ["phase_rad", "counts"]:
-                    continue
-                if header[:3] == ["theta_rad", "phase_rad", "counts"]:
-                    if theta is None:
-                        raise CliError(
-                            "scan file has per-theta rows; select one with --theta"
-                        )
-                    continue
-                raise CliError(
-                    f"unrecognized scan header {','.join(cells)!r}; expected "
-                    "phase_rad,counts[,...] or theta_rad,phase_rad,counts[,...]"
-                )
+            if per_theta is None:
+                header = tuple(c.lower() for c in cells)
+                per_theta = header[:3] == _THETA_HEADER
+                if not per_theta and header[:2] != _BARE_HEADER:
+                    raise CliError(
+                        f"unrecognized scan header {','.join(cells)!r}; expected "
+                        f"{','.join(_BARE_HEADER)}[,...] or {','.join(_THETA_HEADER)}[,...]"
+                    )
+                if per_theta and theta is None:
+                    raise CliError("scan file has per-theta rows; select one with --theta")
+                continue
             try:
-                if header[0] == "theta_rad":
+                if per_theta:
                     row_theta = float(cells[0])
-                    if abs(row_theta - theta) > 1e-9:
+                    # negated so that a nan theta in the file matches nothing
+                    if not abs(row_theta - theta) <= 1e-9:
                         continue
                     phases.append(float(cells[1]))
                     counts.append(float(cells[2]))
@@ -321,6 +321,8 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
                     phases.append(float(cells[0]))
                     counts.append(float(cells[1]))
             except (ValueError, IndexError):
+                if tuple(c.lower() for c in cells) == _SUMMARY_COLUMNS:
+                    break
                 raise CliError(f"could not parse scan row {line!r}") from None
     if not phases:
         raise CliError(f"no scan points found in {path}")
@@ -386,28 +388,25 @@ def cmd_estimate(args) -> int:
     return code
 
 
+def _number_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"{flag} needs a comma list of numbers, got {text!r}") from None
+
+
 def cmd_compare(args) -> int:
-    n_values = [int(n) for n in args.n_values.split(",") if n.strip()]
-    mu_values = [float(m) for m in args.mu_values.split(",") if m.strip()]
+    n_values = _number_list("--n-values", args.n_values, int)
+    mu_values = _number_list("--mu-values", args.mu_values, float)
     table = compare_schemes(n_values, mu_values, epsilon=args.epsilon)
 
+    schema = "qinterro.compare/1"
+    rows = [(r.scheme, r.parameter, r.eta) for r in table.rows]
     if args.format == "json":
-        payload = {
-            "schema": "qinterro.compare/1",
-            "footnote": table.footnote,
-            "rows": [
-                {"scheme": r.scheme, "parameter": r.parameter, "eta": r.eta}
-                for r in table.rows
-            ],
-        }
-        _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = _json_report(schema, _COMPARE_COLUMNS, rows, footnote=table.footnote)
     else:
-        lines = ["# schema=qinterro.compare/1", f"# note: {table.footnote}"]
-        lines.append("scheme,parameter,eta")
-        for r in table.rows:
-            param = "" if r.parameter is None else _fmt(r.parameter)
-            lines.append(f"{r.scheme},{param},{_fmt(r.eta)}")
-        _write_text(args.output, "\n".join(lines) + "\n")
+        text = _csv_section(schema, _COMPARE_COLUMNS, rows, f"# note: {table.footnote}")
+    _write_text(args.output, text)
     print(f"wrote {args.output} ({len(table.rows)} rows)")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import finite, unit_interval
 from .exceptions import DomainError, InternalConsistencyError
 
 # Exact constructors must satisfy their invariants to CONSTRUCTOR_TOL; states
@@ -36,13 +37,6 @@ def _frozen_2x2(matrix) -> np.ndarray:
         raise DomainError("matrix entries must be finite")
     m.setflags(write=False)
     return m
-
-
-def _require_finite_scalar(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> tuple[float, float]:
@@ -131,15 +125,13 @@ def initial_state(epsilon: float) -> DensityMatrix:
     purity Tr(rho^2) of this family is (1 + eps^2)/2, so epsilon itself is
     not Tr(rho^2).
     """
-    epsilon = _require_finite_scalar("epsilon", epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
+    epsilon = unit_interval("epsilon", epsilon)
     return DensityMatrix(np.diag([0.5 * (1 + epsilon), 0.5 * (1 - epsilon)]))
 
 
 def polarizer(theta: float) -> Operator:
     """Projector onto linear polarization at angle theta from H."""
-    theta = _require_finite_scalar("theta", theta)
+    theta = finite("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     return Operator(np.array([[c * c, c * s], [c * s, s * s]]), kind="polarizer")
 
@@ -150,14 +142,14 @@ def half_wave_plate(alpha: float) -> Operator:
     At alpha = pi/8 it maps |H> to the equal superposition (|H> + |V>)/sqrt(2);
     at alpha = pi/4 it swaps |H> and |V>.
     """
-    alpha = _require_finite_scalar("alpha", alpha)
+    alpha = finite("alpha", alpha)
     c, s = math.cos(2 * alpha), math.sin(2 * alpha)
     return Operator(np.array([[c, s], [s, -c]]), kind="hwp")
 
 
 def relative_phase(phi: float) -> Operator:
     """Beam-displacing prism pair: adds phase phi to the V component."""
-    phi = _require_finite_scalar("phi", phi)
+    phi = finite("phi", phi)
     return Operator(np.diag([1.0, np.exp(1j * phi)]), kind="phase")
 
 
@@ -167,10 +159,8 @@ def absorber(mu: float, delta: float = 0.0) -> Operator:
     mu is the intensity transmittance of the absorbing arm; delta is the phase
     the object imprints on the transmitted amplitude.
     """
-    mu = _require_finite_scalar("mu", mu)
-    delta = _require_finite_scalar("delta", delta)
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
+    mu = unit_interval("mu", mu)
+    delta = finite("delta", delta)
     return Operator(
         np.diag([1.0, np.exp(1j * delta) * math.sqrt(mu)]), kind="absorber"
     )
@@ -178,12 +168,9 @@ def absorber(mu: float, delta: float = 0.0) -> Operator:
 
 def two_arm_absorber(mu1: float, mu2: float, delta: float = 0.0) -> Operator:
     """Absorber acting on both arms: e^{i delta} diag(sqrt(mu1), sqrt(mu2))."""
-    mu1 = _require_finite_scalar("mu1", mu1)
-    mu2 = _require_finite_scalar("mu2", mu2)
-    delta = _require_finite_scalar("delta", delta)
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not 0.0 <= mu <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1], got {mu}")
+    mu1 = unit_interval("mu1", mu1)
+    mu2 = unit_interval("mu2", mu2)
+    delta = finite("delta", delta)
     phase = np.exp(1j * delta)
     return Operator(
         np.diag([phase * math.sqrt(mu1), phase * math.sqrt(mu2)]), kind="absorber"

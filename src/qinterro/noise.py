@@ -11,21 +11,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from . import jones
+from ._validate import non_negative, unit_interval
 from .exceptions import DomainError
 
 # Above this jitter variance the second-order expansion is visibly biased.
 JITTER_WARN_THRESHOLD = 0.2
 JITTER_MAX = 0.5
-
-
-def _check_mu_eps(mu: float, epsilon: float) -> None:
-    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
 
 
 def _check_lambda(lambda_total: float) -> None:
@@ -34,8 +28,7 @@ def _check_lambda(lambda_total: float) -> None:
 
 
 def _check_dphi2(dphi2: float) -> None:
-    if not math.isfinite(dphi2) or dphi2 < 0.0:
-        raise DomainError(f"dphi2 must be non-negative, got {dphi2}")
+    non_negative("dphi2", dphi2)
     if dphi2 > JITTER_MAX:
         raise DomainError(
             f"dphi2 = {dphi2} is outside the small-jitter regime (max {JITTER_MAX})"
@@ -53,25 +46,15 @@ class NoiseSpec:
     """Validated bundle of noise settings used by sweeps and the CLI.
 
     lambda_total is the summed surface reflectivity already aggregated over
-    elements; lambdas optionally keeps the per-element values. dphi2 is the
-    phase-jitter variance in rad^2.
+    elements. dphi2 is the phase-jitter variance in rad^2.
     """
 
     lambda_total: float = 0.0
     dphi2: float = 0.0
-    lambdas: Optional[tuple] = None
 
     def __post_init__(self):
         _check_lambda(self.lambda_total)
         _check_dphi2(self.dphi2)
-        if self.lambdas is not None:
-            lam = tuple(float(v) for v in self.lambdas)
-            object.__setattr__(self, "lambdas", lam)
-            for v in lam:
-                if not (math.isfinite(v) and 0.0 <= v < 1.0):
-                    raise DomainError(f"each reflectivity must be in [0, 1), got {v}")
-            if sum(lam) >= 1.0:
-                raise DomainError("summed reflectivities must stay below 1")
 
 
 def augment_with_reflection(
@@ -102,7 +85,8 @@ def detection_with_reflectivity(
 
     (1 - lambda) (1 + mu + 2 eps sqrt(mu) cos phi) / 4.
     """
-    _check_mu_eps(mu, epsilon)
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     _check_lambda(lambda_total)
     fringe = 1.0 + mu + 2.0 * epsilon * math.sqrt(mu) * math.cos(phi)
     return 0.25 * (1.0 - lambda_total) * fringe
@@ -110,7 +94,8 @@ def detection_with_reflectivity(
 
 def i_prob_reflectivity(mu: float, epsilon: float, lambda_total: float) -> float:
     """Interrogation probability degraded by reflectivity: scaled by (1 - lambda)."""
-    _check_mu_eps(mu, epsilon)
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     _check_lambda(lambda_total)
     return 0.25 * (1.0 - lambda_total) * (1.0 + 2.0 * epsilon - mu)
 
@@ -122,14 +107,22 @@ def dmax_with_jitter(mu: float, epsilon: float, dphi2: float) -> float:
     interference term by (1 - dphi2/2):
     (1 + mu + 2 eps sqrt(mu) (1 - dphi2/2)) / 4.
     """
-    _check_mu_eps(mu, epsilon)
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     _check_dphi2(dphi2)
     contrast = 1.0 - 0.5 * dphi2
     return 0.25 * (1.0 + mu + 2.0 * epsilon * math.sqrt(mu) * contrast)
 
 
 def i_prob_jitter(mu: float, epsilon: float, dphi2: float) -> float:
-    """Interrogation probability with phase jitter: (1 + 2 eps - mu - dphi2) / 4."""
-    _check_mu_eps(mu, epsilon)
+    """Interrogation probability with phase jitter: (1 + 2 eps - mu - dphi2) / 4.
+
+    This is the paper's law and assumes eps = 1: its jitter offset ignores
+    eps, so it sits (1 - eps) dphi2 / 4 below
+    dmax_with_jitter(1, eps, dphi2) - detection_prob_washed(mu) and can go
+    negative away from eps = 1 (-0.1125 at mu = 1, eps = 0, dphi2 = 0.45).
+    """
+    unit_interval("mu", mu)
+    unit_interval("epsilon", epsilon)
     _check_dphi2(dphi2)
     return 0.25 * (1.0 + 2.0 * epsilon - mu - dphi2)

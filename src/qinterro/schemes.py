@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._validate import unit_interval
 from .bench import i_prob
 from .exceptions import DomainError
 
@@ -33,8 +34,7 @@ class SchemeEfficiency:
     eta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise DomainError(f"eta must be in [0, 1], got {self.eta}")
+        unit_interval("eta", self.eta)
 
 
 @dataclass(frozen=True)

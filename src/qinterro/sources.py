@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._validate import non_negative, unit_interval
 from .bench import AbsorberSpec, BenchConfig, NO_ABSORBER, OneArmAbsorber, detection_prob
 from .exceptions import DomainError
 
@@ -41,19 +42,6 @@ def derived_rng(seed: SeedLike, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return derived_rng(seed)
-
-
-def _check_common(epsilon: float, background_rate: float) -> None:
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-    if not (math.isfinite(background_rate) and background_rate >= 0.0):
-        raise DomainError(f"background_rate must be >= 0, got {background_rate}")
-
-
 @dataclass(frozen=True)
 class HeraldedSource:
     """Fixed number of heralded signal photons per counting window."""
@@ -68,7 +56,8 @@ class HeraldedSource:
                 f"pairs_per_window must be a non-negative integer, got {self.pairs_per_window}"
             )
         object.__setattr__(self, "pairs_per_window", int(self.pairs_per_window))
-        _check_common(self.epsilon, self.background_rate)
+        unit_interval("epsilon", self.epsilon)
+        non_negative("background_rate", self.background_rate)
 
     @property
     def mean_rate(self) -> float:
@@ -85,9 +74,9 @@ class CoherentSource:
     background_rate: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise DomainError(f"nbar must be >= 0, got {self.nbar}")
-        _check_common(self.epsilon, self.background_rate)
+        non_negative("nbar", self.nbar)
+        unit_interval("epsilon", self.epsilon)
+        non_negative("background_rate", self.background_rate)
 
     @property
     def mean_rate(self) -> float:
@@ -98,21 +87,8 @@ SourceModel = Union[HeraldedSource, CoherentSource]
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    """Detector counts accumulated in one counting window."""
-
-    phase_setting: float
-    counts: int
-    window_id: int = 0
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise DomainError(f"counts must be >= 0, got {self.counts}")
-
-
-@dataclass(frozen=True)
 class FringeScan:
-    """Counts versus set phase, aggregated over windows_per_point windows.
+    """Counts versus set phase, each summed over the windows of its point.
 
     counts holds integer-valued totals as float64 so that analysis code can
     also fit noiseless fractional expectations. expected_probs carries the
@@ -122,8 +98,6 @@ class FringeScan:
     phases: np.ndarray
     counts: np.ndarray
     expected_probs: Optional[np.ndarray] = None
-    windows_per_point: int = 1
-    mean_rate: float = float("nan")
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -141,8 +115,6 @@ class FringeScan:
             if probs.shape != phases.shape:
                 raise DomainError("expected_probs must match phases in length")
             object.__setattr__(self, "expected_probs", probs)
-        if self.windows_per_point < 1:
-            raise DomainError("windows_per_point must be >= 1")
 
     def __len__(self) -> int:
         return self.phases.size
@@ -157,12 +129,6 @@ class FringeScan:
         return list(zip(self.phases.tolist(), self.counts.tolist(), probs.tolist()))
 
 
-def _check_prob(p: float) -> float:
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"detection probability must be in [0, 1], got {p}")
-    return float(p)
-
-
 def _draw_window_counts(
     source: SourceModel, p: float, windows: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -175,25 +141,6 @@ def _draw_window_counts(
     if source.background_rate > 0.0:
         counts = counts + rng.poisson(source.background_rate, size=windows)
     return counts
-
-
-def sample_counts(
-    source: SourceModel,
-    detection_probability: float,
-    seed: Union[SeedLike, np.random.Generator],
-    *,
-    phase_setting: float = 0.0,
-    window_id: int = 0,
-) -> CountRecord:
-    """Draw the counts for a single window at the given click probability.
-
-    seed may be an integer (or tuple) for a one-shot reproducible draw, or a
-    numpy Generator to advance an existing stream across windows.
-    """
-    p = _check_prob(detection_probability)
-    rng = _as_rng(seed)
-    n = int(_draw_window_counts(source, p, 1, rng)[0])
-    return CountRecord(phase_setting=phase_setting, counts=n, window_id=window_id)
 
 
 def simulate_fringe_scan(
@@ -226,13 +173,7 @@ def simulate_fringe_scan(
         rng = derived_rng(base, i)
         counts[i] = float(_draw_window_counts(source, p, windows_per_point, rng).sum())
         probs[i] = p
-    return FringeScan(
-        phases=grid,
-        counts=counts,
-        expected_probs=probs,
-        windows_per_point=windows_per_point,
-        mean_rate=source.mean_rate,
-    )
+    return FringeScan(phases=grid, counts=counts, expected_probs=probs)
 
 
 def simulate_interrogation_prob(

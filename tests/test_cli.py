@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from qinterro.analysis import visibility_no_absorber
-from qinterro.cli import main, parse_angle, parse_angle_list, parse_grid
+from qinterro.cli import (
+    _read_scan_csv,
+    main,
+    parse_angle,
+    parse_angle_list,
+    parse_grid,
+)
 from qinterro.exceptions import DomainError
 
 
@@ -37,8 +43,9 @@ def test_parse_angle_forms():
     assert parse_angle("0.5*pi") == pytest.approx(math.pi / 2, abs=1e-15)
     assert parse_angle("-pi/2") == pytest.approx(-math.pi / 2, abs=1e-15)
     assert parse_angle("2pi") == pytest.approx(2 * math.pi, abs=1e-15)
-    with pytest.raises(DomainError):
-        parse_angle("half a turn")
+    for bad in ("half a turn", "nan", "inf", "-inf", "1e400", "pi/0", "3pi/0.0"):
+        with pytest.raises(DomainError):
+            parse_angle(bad)
     assert parse_angle_list("0,pi/4") == [0.0, pytest.approx(math.pi / 4)]
 
 
@@ -136,6 +143,21 @@ def test_sweep_mu_json_and_calibration(tmp_path, capsys):
     assert len(payload["rows"]) == 4
     assert payload["rows"][0]["mu"] == pytest.approx(0.0, abs=1e-12)
     assert payload["rows"][-1]["mu"] == pytest.approx(0.526, abs=1e-12)
+
+
+def test_fringes_round_trip_through_scan_reader(tmp_path, capsys):
+    out = tmp_path / "fringes.csv"
+    assert run(["fringes", "--thetas", "pi/8,pi/4,3pi/8", "--mu", 0.4,
+                "--phase-grid", "0:2pi:9", "--seed", 3, "-o", out]) == 0
+    capsys.readouterr()
+    points, summary = read_fringe_sections(out)
+    assert len(points) == 3 * 9 and len(summary) == 3
+    for theta in parse_angle_list("pi/8,pi/4,3pi/8"):
+        rows = [cells for cells in points if float(cells[0]) == theta]
+        scan = _read_scan_csv(str(out), theta)
+        # equal to the written rows, so nothing from the summary was read
+        assert scan.phases.tolist() == [float(c[1]) for c in rows]
+        assert scan.counts.tolist() == [float(c[2]) for c in rows]
 
 
 def test_estimate_from_visibility(tmp_path, capsys):
@@ -247,6 +269,18 @@ def test_validation_exit_codes(tmp_path, capsys):
     bad_cal.write_text("position_mm,transmittance\n0,0\nnope,0.3\n")
     assert run(["sweep-mu", "--calibration", bad_cal, "--positions", "0:1:3",
                 "-o", tmp_path / "x.csv"]) == 3
+
+    # non-finite angles and zero denominators; a nan theta used to merge
+    # the rows of every angle into one scan
+    scan = tmp_path / "scan.csv"
+    assert run(["fringes", "--thetas", "pi/8,pi/4", "--mu", 0.4, "-o", scan]) == 0
+    for theta in ("nan", "inf", "pi/0"):
+        assert run(["estimate", "--scan", scan, "--theta", theta, "--epsilon", 1]) == 3
+    for thetas in ("inf", "pi/0", "pi/4,nan"):
+        assert run(["fringes", "--thetas", thetas, "-o", tmp_path / "x.csv"]) == 3
+
+    assert run(["compare", "--n-values", "2,x", "-o", tmp_path / "x.csv"]) == 3
+    assert run(["compare", "--mu-values", "0,half", "-o", tmp_path / "x.csv"]) == 3
     capsys.readouterr()
 
 

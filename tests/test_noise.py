@@ -103,14 +103,12 @@ def test_jitter_domain_and_warning():
 
 
 def test_noise_spec_validation():
-    spec = NoiseSpec(lambda_total=0.1, dphi2=0.05, lambdas=(0.04, 0.06))
-    assert spec.lambdas == (0.04, 0.06)
+    spec = NoiseSpec(lambda_total=0.1, dphi2=0.05)
+    assert (spec.lambda_total, spec.dphi2) == (0.1, 0.05)
     with pytest.raises(DomainError):
         NoiseSpec(lambda_total=1.0)
     with pytest.raises(DomainError):
         NoiseSpec(dphi2=0.7)
-    with pytest.raises(DomainError):
-        NoiseSpec(lambdas=(0.5, 0.5))
 
 
 def test_jitter_matches_monte_carlo_average():

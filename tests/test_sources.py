@@ -7,11 +7,10 @@ from qinterro.bench import BenchConfig, OneArmAbsorber, detection_prob, i_prob
 from qinterro.exceptions import DomainError
 from qinterro.sources import (
     CoherentSource,
-    CountRecord,
     FringeScan,
     HeraldedSource,
+    _draw_window_counts,
     derived_rng,
-    sample_counts,
     simulate_fringe_scan,
     simulate_interrogation_prob,
 )
@@ -30,19 +29,18 @@ def test_source_validation():
         CoherentSource(10.0, background_rate=-0.1)
 
 
+# The test_sample_counts_* tests check the window sampler that both
+# simulators call.
 def test_sample_counts_degenerate_probabilities():
     src = HeraldedSource(pairs_per_window=10_000)
-    assert sample_counts(src, 1.0, seed=1).counts == 10_000
-    assert sample_counts(src, 0.0, seed=1).counts == 0
-    with pytest.raises(DomainError):
-        sample_counts(src, 1.5, seed=1)
+    assert _draw_window_counts(src, 1.0, 3, derived_rng(1)).tolist() == [10_000] * 3
+    assert _draw_window_counts(src, 0.0, 3, derived_rng(1)).tolist() == [0] * 3
 
 
 def test_sample_counts_poisson_mean():
     # brute-force frequency check of the Poisson detection model
     src = CoherentSource(nbar=10_000.0)
-    rng = derived_rng(2024)
-    draws = [sample_counts(src, 0.25, rng).counts for _ in range(1000)]
+    draws = _draw_window_counts(src, 0.25, 1000, derived_rng(2024))
     mean = float(np.mean(draws))
     assert abs(mean - 2500.0) <= 150.0
     assert np.std(draws) == pytest.approx(50.0, rel=0.2)
@@ -50,20 +48,13 @@ def test_sample_counts_poisson_mean():
 
 def test_sample_counts_heralded_never_exceeds_pairs():
     src = HeraldedSource(pairs_per_window=40)
-    rng = derived_rng(7)
-    assert all(sample_counts(src, 0.9, rng).counts <= 40 for _ in range(500))
+    assert (_draw_window_counts(src, 0.9, 500, derived_rng(7)) <= 40).all()
 
 
 def test_sample_counts_background_adds():
     src = HeraldedSource(pairs_per_window=0, background_rate=5.0)
-    rng = derived_rng(3)
-    draws = [sample_counts(src, 0.5, rng).counts for _ in range(2000)]
+    draws = _draw_window_counts(src, 0.5, 2000, derived_rng(3))
     assert float(np.mean(draws)) == pytest.approx(5.0, rel=0.1)
-
-
-def test_count_record_validation():
-    with pytest.raises(DomainError):
-        CountRecord(phase_setting=0.0, counts=-1)
 
 
 def test_determinism_bit_identical():
@@ -78,9 +69,9 @@ def test_determinism_bit_identical():
     c = simulate_fringe_scan(src, cfg, OneArmAbsorber(0.5), grid, 10, seed=100)
     assert not np.array_equal(a.counts, c.counts)
 
-    r1 = sample_counts(src, 0.37, seed=5)
-    r2 = sample_counts(src, 0.37, seed=5)
-    assert r1 == r2
+    r1 = _draw_window_counts(src, 0.37, 10, derived_rng(5))
+    r2 = _draw_window_counts(src, 0.37, 10, derived_rng(5))
+    assert np.array_equal(r1, r2)
 
 
 def test_scan_uses_total_phase_and_expected_probs():
@@ -90,8 +81,6 @@ def test_scan_uses_total_phase_and_expected_probs():
     scan = simulate_fringe_scan(src, cfg, phase_grid=grid, windows_per_point=3, seed=1)
     expected = [detection_prob(cfg.with_total_phase(p)) for p in grid]
     assert np.allclose(scan.expected_probs, expected, atol=1e-12)
-    assert scan.windows_per_point == 3
-    assert scan.mean_rate == 100.0
     assert len(scan) == 9
     assert scan.points[0][0] == 0.0
 
@@ -106,13 +95,14 @@ def test_scan_law_of_large_numbers():
     cfg = BenchConfig(epsilon=0.8)
     grid = np.array([0.0, math.pi / 3, math.pi / 2, math.pi])
     reps = 300
+    windows = 50
     checks = 0
     hits = 0
     for rep in range(reps):
         scan = simulate_fringe_scan(
-            src, cfg, phase_grid=grid, windows_per_point=50, seed=(4242, rep)
+            src, cfg, phase_grid=grid, windows_per_point=windows, seed=(4242, rep)
         )
-        offered = src.mean_rate * scan.windows_per_point
+        offered = src.mean_rate * windows
         for k in range(len(scan)):
             expected_total = offered * scan.expected_probs[k]
             rel_err = abs(scan.counts[k] / offered - scan.expected_probs[k])
