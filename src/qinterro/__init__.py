@@ -27,6 +27,7 @@ from .bench import (
     TwoArmAbsorber,
     detection_prob,
     detection_prob_washed,
+    detection_probs,
     evolve_bench,
     i_prob,
     two_arm_detection,

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .bench import BenchConfig, NO_ABSORBER, OneArmAbsorber, TwoArmAbsorber, i_prob
 from .calibration import load_calibration, mu_at
-from .exceptions import DomainError, InfeasibleError, QInterroError
+from .exceptions import DomainError, InfeasibleError, QInterroError, UndefinedVisibilityError
 from .noise import NoiseSpec, i_prob_jitter, i_prob_reflectivity
 from .schemes import compare_schemes
 from .sources import (
@@ -173,9 +173,9 @@ def _absorber_from_args(args):
         mu1 = getattr(args, "mu1", None)
         if mu1 is None:
             raise CliError("--mu2 requires --mu1")
-        return TwoArmAbsorber(mu1=mu1, mu2=mu2, delta=args.delta)
+        return TwoArmAbsorber(mu1=mu1, mu2=mu2, delta=parse_angle(args.delta))
     if mu is not None:
-        return OneArmAbsorber(mu=mu, delta=args.delta)
+        return OneArmAbsorber(mu=mu, delta=parse_angle(args.delta))
     return NO_ABSORBER
 
 
@@ -213,9 +213,18 @@ def cmd_fringes(args) -> int:
             seed=(args.seed, k),
         )
         points.extend(
-            (theta, phase, int(counts), prob) for phase, counts, prob in scan.points
+            (theta, phase, int(counts), prob)
+            for phase, counts, prob in zip(
+                scan.phases.tolist(), scan.counts.tolist(), scan.expected_probs.tolist()
+            )
         )
-        res = fit_fringe(scan)
+        try:
+            res = fit_fringe(scan)
+        except UndefinedVisibilityError as exc:
+            # e.g. theta = 0 behind an opaque object: nothing survives to post-select
+            summaries.append((theta,) + (None,) * (len(_SUMMARY_COLUMNS) - 1))
+            print(f"warning: theta={theta:.6g}: no fit, {exc}", file=sys.stderr)
+            continue
         summaries.append((
             theta, res.visibility, res.std_error, res.d_max, res.d_min,
             res.fit_offset, res.fit_amplitude, res.fit_phase, res.used_fallback,
@@ -334,7 +343,8 @@ def cmd_estimate(args) -> int:
     std_error = args.std_error
 
     if args.scan is not None:
-        scan = _read_scan_csv(args.scan, args.theta)
+        theta = None if args.theta is None else parse_angle(args.theta)
+        scan = _read_scan_csv(args.scan, theta)
         res = fit_fringe(scan)
         visibility = res.visibility
         std_error = res.std_error
@@ -439,7 +449,7 @@ def build_parser() -> _Parser:
     pf.add_argument("--mu", type=float, default=None, help="one-arm object transmittance")
     pf.add_argument("--mu1", type=float, default=None, help="two-arm transmittance, H path")
     pf.add_argument("--mu2", type=float, default=None, help="two-arm transmittance, V path")
-    pf.add_argument("--delta", type=parse_angle, default=0.0, help="object phase")
+    pf.add_argument("--delta", default="0", help="object phase")
     _add_source_flags(pf)
     pf.add_argument("--output", "-o", required=True)
     pf.set_defaults(func=cmd_fringes)
@@ -463,7 +473,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--visibility", type=float, default=None)
     pe.add_argument("--std-error", type=float, default=None)
     pe.add_argument("--scan", default=None, help="CSV of phase_rad,counts (or fringes output)")
-    pe.add_argument("--theta", type=parse_angle, default=None,
+    pe.add_argument("--theta", default=None,
                     help="select this theta from a fringes CSV")
     pe.add_argument("--epsilon", type=float, default=None)
     pe.add_argument("--equal-arm-visibility", type=float, default=None,

@@ -90,16 +90,25 @@ class Operator:
 
 
 def _check_state(m: np.ndarray, tol: float) -> None:
-    if _hermiticity_defect(m) > tol:
+    """State invariants of one 2x2 matrix, or of each matrix of an (N, 2, 2) stack.
+
+    A stack reports its worst offending value.
+    """
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if defect > tol:
         raise InternalConsistencyError("density matrix is not Hermitian")
-    lo, _ = hermitian_eigenvalues(m)
-    if lo < -tol:
+    diag = m.diagonal(axis1=-2, axis2=-1).real
+    h, v = diag[..., 0], diag[..., 1]
+    tr = h + v
+    # lower closed-form eigenvalue, as in hermitian_eigenvalues
+    lowest = (0.5 * tr - np.hypot(0.5 * (h - v), np.abs(m[..., 0, 1]))).min(initial=0.0)
+    if lowest < -tol:
         raise InternalConsistencyError(
-            f"density matrix has negative eigenvalue {lo}"
+            f"density matrix has negative eigenvalue {lowest}"
         )
-    tr = m[0, 0].real + m[1, 1].real
-    if tr < -tol or tr > 1.0 + tol:
-        raise InternalConsistencyError(f"density matrix trace {tr} outside [0, 1]")
+    for worst in (tr.min(initial=0.0), tr.max(initial=0.0)):
+        if worst < -tol or worst > 1.0 + tol:
+            raise InternalConsistencyError(f"density matrix trace {worst} outside [0, 1]")
 
 
 @dataclass(frozen=True)

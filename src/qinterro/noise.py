@@ -27,7 +27,8 @@ def _check_lambda(lambda_total: float) -> None:
         raise DomainError(f"lambda_total must be in [0, 1), got {lambda_total}")
 
 
-def _check_dphi2(dphi2: float) -> None:
+def _check_dphi2(dphi2: float, stacklevel: int = 3) -> None:
+    """stacklevel names the frame the warning points at, 3 being the caller's caller."""
     non_negative("dphi2", dphi2)
     if dphi2 > JITTER_MAX:
         raise DomainError(
@@ -37,7 +38,7 @@ def _check_dphi2(dphi2: float) -> None:
         warnings.warn(
             f"dphi2 = {dphi2} exceeds {JITTER_WARN_THRESHOLD}; the second-order "
             "jitter expansion is inaccurate there",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -54,7 +55,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_lambda(self.lambda_total)
-        _check_dphi2(self.dphi2)
+        # one more frame: the dataclass-generated __init__ calls __post_init__
+        _check_dphi2(self.dphi2, stacklevel=4)
 
 
 def augment_with_reflection(

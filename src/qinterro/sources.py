@@ -6,20 +6,35 @@ probability. A coherent (attenuated laser) source has Poissonian photon
 statistics, so detections are Poisson with mean nbar * p. Dark and stray
 counts are an additional Poisson background per window.
 
-Reproducibility: every scan point gets its own generator seeded with
-SeedSequence((*seed, point_index)), so identical inputs give bit-identical
-count streams regardless of evaluation order.
+A point's detections summed over its W windows are drawn as one variate
+with exactly the distribution of that sum: Binomial(n W, p) for a heralded
+source, Poisson(W nbar p) for a coherent one, plus Poisson(W b) background.
+Memory and time per point therefore do not grow with W.
+
+Reproducibility: the counts of point i come from a Philox stream keyed
+(k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
+once per scan; derived_rng(seed, i) returns that stream. A point's count
+depends only on the seed, its index and its click probability, so identical
+inputs give bit-identical counts regardless of evaluation order. The first
+0.1.0 builds drew every window from a SeedSequence((*seed, i)) generator, so
+count columns differ from their 0.1.0 outputs for the same seed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from ._validate import non_negative, unit_interval
-from .bench import AbsorberSpec, BenchConfig, NO_ABSORBER, OneArmAbsorber, detection_prob
+from .bench import (
+    AbsorberSpec,
+    BenchConfig,
+    NO_ABSORBER,
+    OneArmAbsorber,
+    detection_prob,
+    detection_probs,
+)
 from .exceptions import DomainError
 
 SeedLike = Union[int, Sequence[int]]
@@ -36,10 +51,48 @@ def _seed_tuple(seed: SeedLike) -> tuple[int, ...]:
     return parts
 
 
-def derived_rng(seed: SeedLike, *indices: int) -> np.random.Generator:
-    """Generator for a labelled sub-stream of the given base seed."""
-    entropy = _seed_tuple(seed) + tuple(int(i) for i in indices)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _stream_key(seed: SeedLike) -> int:
+    return int(np.random.SeedSequence(_seed_tuple(seed)).generate_state(1, np.uint64)[0])
+
+
+def _philox_state(key: int, index: int) -> dict:
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key, index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
+    """Generator of point `index` of the given base seed: Philox keyed (k, index)."""
+    index = int(index)
+    if index < 0 or index >= 2**64:
+        raise DomainError(f"stream index must be unsigned 64-bit, got {index}")
+    key = np.array([_stream_key(seed), index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _point_streams(key: int) -> Iterator[np.random.Generator]:
+    """Yield the generators of points 0, 1, 2, ... of a scan keyed by _stream_key.
+
+    The i-th equals derived_rng(seed, i). One Philox is reused and its state
+    assigned per point, which costs a fraction of building a generator per
+    point. Each yielded generator is the same object, valid until the next one
+    is taken.
+    """
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    index = 0
+    while True:
+        bitgen.state = _philox_state(key, index)
+        yield rng
+        index += 1
 
 
 @dataclass(frozen=True)
@@ -119,28 +172,26 @@ class FringeScan:
     def __len__(self) -> int:
         return self.phases.size
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        probs = (
-            self.expected_probs
-            if self.expected_probs is not None
-            else np.full(self.phases.shape, math.nan)
-        )
-        return list(zip(self.phases.tolist(), self.counts.tolist(), probs.tolist()))
 
-
-def _draw_window_counts(
+def _draw_total(
     source: SourceModel, p: float, windows: int, rng: np.random.Generator
-) -> np.ndarray:
-    if isinstance(source, HeraldedSource):
-        counts = rng.binomial(source.pairs_per_window, p, size=windows)
-    elif isinstance(source, CoherentSource):
-        counts = rng.poisson(source.nbar * p, size=windows)
-    else:
+) -> int:
+    """Detections summed over `windows` windows, drawn as one variate per term."""
+    if not isinstance(source, (HeraldedSource, CoherentSource)):
         raise DomainError(f"unknown source model {source!r}")
-    if source.background_rate > 0.0:
-        counts = counts + rng.poisson(source.background_rate, size=windows)
-    return counts
+    try:
+        if isinstance(source, HeraldedSource):
+            total = int(rng.binomial(source.pairs_per_window * int(windows), p))
+        else:
+            total = int(rng.poisson(windows * source.nbar * p))
+        if source.background_rate > 0.0:
+            total += int(rng.poisson(windows * source.background_rate))
+    except (OverflowError, ValueError):
+        # numpy samples into int64: n >= 2**63 overflows, a mean near 9.2e18 is refused
+        raise DomainError(
+            f"a point's total over {windows} windows is too large to sample in int64"
+        ) from None
+    return total
 
 
 def simulate_fringe_scan(
@@ -154,8 +205,9 @@ def simulate_fringe_scan(
     """Monte Carlo scan of detector counts versus total relative phase.
 
     For each grid value the bench is configured so that phi1 + phi2 equals the
-    grid phase (phi2 is adjusted, phi1 kept), the click probability is computed
-    through the full pipeline, and windows_per_point windows are sampled.
+    grid phase (phi2 is adjusted, phi1 kept), the click probabilities of all
+    points come from one detection_probs call, and each point's total over
+    windows_per_point windows is drawn from its own keyed stream.
     """
     grid = np.asarray(phase_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -164,15 +216,14 @@ def simulate_fringe_scan(
         raise DomainError("phase_grid values must be finite")
     if windows_per_point < 1:
         raise DomainError("windows_per_point must be >= 1")
-    base = _seed_tuple(seed)
+    key = _stream_key(seed)
 
-    counts = np.empty(grid.size, dtype=float)
-    probs = np.empty(grid.size, dtype=float)
-    for i, phi in enumerate(grid):
-        p = detection_prob(cfg.with_total_phase(float(phi)), absorber)
-        rng = derived_rng(base, i)
-        counts[i] = float(_draw_window_counts(source, p, windows_per_point, rng).sum())
-        probs[i] = p
+    # phi2 as BenchConfig.with_total_phase sets it
+    probs = detection_probs(cfg, absorber, grid - cfg.phi1)
+    counts = np.array([
+        float(_draw_total(source, p, windows_per_point, rng))
+        for p, rng in zip(probs.tolist(), _point_streams(key))
+    ])
     return FringeScan(phases=grid, counts=counts, expected_probs=probs)
 
 
@@ -193,14 +244,16 @@ def simulate_interrogation_prob(
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
+    key = _stream_key(seed)
     eps = source.epsilon
     p_ref = detection_prob(BenchConfig(epsilon=eps))
     p_obj = detection_prob(
         BenchConfig(epsilon=eps, contrast_envelope=0.0), OneArmAbsorber(mu, delta)
     )
-    base = _seed_tuple(seed)
-    total_ref = _draw_window_counts(source, p_ref, windows, derived_rng(base, 0)).sum()
-    total_obj = _draw_window_counts(source, p_obj, windows, derived_rng(base, 1)).sum()
+    total_ref, total_obj = (
+        _draw_total(source, p, windows, rng)
+        for p, rng in zip((p_ref, p_obj), _point_streams(key))
+    )
     denom = source.mean_rate * windows
     if denom <= 0.0:
         raise DomainError("source emits no photons; cannot normalize")

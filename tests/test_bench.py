@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qinterro import jones
 from qinterro.bench import (
     NO_ABSORBER,
     BenchConfig,
@@ -11,6 +14,7 @@ from qinterro.bench import (
     TwoArmAbsorber,
     detection_prob,
     detection_prob_washed,
+    detection_probs,
     evolve_bench,
     i_prob,
     two_arm_detection,
@@ -77,6 +81,34 @@ def test_detection_prob_examples():
     assert detection_prob(cfg, OneArmAbsorber(0.25)) == pytest.approx(0.5625, abs=1e-12)
     assert detection_prob(cfg, NO_ABSORBER) == pytest.approx(1.0, abs=1e-12)
     assert detection_prob(cfg, OneArmAbsorber(1.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+_ANGLES = st.floats(-10.0, 10.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cfg=st.builds(
+        BenchConfig, epsilon=_UNIT, phi1=_ANGLES, phi2=_ANGLES, theta_post=_ANGLES,
+        hwp1_angle=_ANGLES, hwp2_angle=_ANGLES, contrast_envelope=_UNIT,
+    ),
+    absorber=st.one_of(
+        st.just(NO_ABSORBER),
+        st.builds(OneArmAbsorber, _UNIT, _ANGLES),
+        st.builds(TwoArmAbsorber, _UNIT, _UNIT, _ANGLES),
+    ),
+    phi2=st.lists(_ANGLES, min_size=1, max_size=8),
+)
+def test_detection_probs_matches_reference_chain(cfg, absorber, phi2):
+    got = detection_probs(cfg, absorber, np.array(phi2))
+    assert got.shape == (len(phi2),)
+    for k, x in enumerate(phi2):
+        point = replace(cfg, phi2=x)
+        rho = evolve_bench(point, absorber)
+        want = np.trace(jones.polarizer(point.theta_post).matrix @ rho.matrix).real
+        assert abs(got[k] - want) <= 1e-15
+    assert detection_prob(cfg, absorber) == detection_probs(cfg, absorber, [cfg.phi2])[0]
 
 
 def test_detection_prob_no_absorber_law():
@@ -191,6 +223,10 @@ def test_config_validation():
         OneArmAbsorber(1.5)
     with pytest.raises(DomainError):
         TwoArmAbsorber(0.5, -0.1)
+    with pytest.raises(DomainError, match="phi2 must be finite, got nan"):
+        detection_probs(BenchConfig(), NO_ABSORBER, [0.0, float("nan")])
+    with pytest.raises(DomainError):
+        detection_probs(BenchConfig(), NO_ABSORBER, [[0.0]])
 
 
 def test_with_total_phase():

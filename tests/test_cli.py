@@ -145,6 +145,20 @@ def test_sweep_mu_json_and_calibration(tmp_path, capsys):
     assert payload["rows"][-1]["mu"] == pytest.approx(0.526, abs=1e-12)
 
 
+def test_fringes_opaque_object_keeps_the_other_thetas(tmp_path, capsys):
+    # theta = 0 behind an opaque object posts nothing: no fit, but a file
+    out = tmp_path / "opaque.csv"
+    assert run(["fringes", "--mu", 0, "--seed", 4, "-o", out]) == 0
+    captured = capsys.readouterr()
+    assert "warning: theta=0: no fit" in captured.err
+    points, summary = read_fringe_sections(out)
+    assert len(points) == 5 * 25 and len(summary) == 5
+    assert summary[0] == ["0.0"] + [""] * 8
+    assert all(float(cells[2]) == 0.0 for cells in points if float(cells[0]) == 0.0)
+    for cells in summary[1:]:
+        assert float(cells[1]) >= 0.0 and cells[8] in ("true", "false")
+
+
 def test_fringes_round_trip_through_scan_reader(tmp_path, capsys):
     out = tmp_path / "fringes.csv"
     assert run(["fringes", "--thetas", "pi/8,pi/4,3pi/8", "--mu", 0.4,
@@ -276,12 +290,24 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["fringes", "--thetas", "pi/8,pi/4", "--mu", 0.4, "-o", scan]) == 0
     for theta in ("nan", "inf", "pi/0"):
         assert run(["estimate", "--scan", scan, "--theta", theta, "--epsilon", 1]) == 3
+    capsys.readouterr()
+    # the reason reaches stderr rather than argparse's "invalid ... value"
+    assert run(["estimate", "--scan", scan, "--theta", "nan", "--epsilon", 1]) == 3
+    assert "angle must be finite, got nan" in capsys.readouterr().err
+    assert run(["fringes", "--mu", 0.4, "--delta", "inf", "-o", tmp_path / "x.csv"]) == 3
+    assert "angle must be finite, got inf" in capsys.readouterr().err
     for thetas in ("inf", "pi/0", "pi/4,nan"):
         assert run(["fringes", "--thetas", thetas, "-o", tmp_path / "x.csv"]) == 3
 
     assert run(["compare", "--n-values", "2,x", "-o", tmp_path / "x.csv"]) == 3
     assert run(["compare", "--mu-values", "0,half", "-o", tmp_path / "x.csv"]) == 3
-    capsys.readouterr()
+
+    # totals beyond numpy's int64 sampler
+    assert run(["sweep-mu", "--mu-grid", "0:1:2", "--source", "coherent", "--nbar", 1e18,
+                "--windows", 100, "-o", tmp_path / "x.csv"]) == 3
+    assert run(["fringes", "--pairs", 2**40, "--windows", 2**30, "--thetas", "pi/4",
+                "-o", tmp_path / "x.csv"]) == 3
+    assert "int64" in capsys.readouterr().err
 
 
 def test_io_exit_codes(tmp_path, capsys):

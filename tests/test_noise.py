@@ -136,3 +136,14 @@ def test_jitter_matches_monte_carlo_average():
             samples = rng.normal(0.0, math.sqrt(dphi2), size=1_000_000)
             mc_mean = a_coef + b_coef * float(np.mean(np.cos(samples)))
             assert abs(mc_mean - dmax_with_jitter(mu, eps, dphi2)) <= 0.1 * dphi2**2
+
+
+def test_jitter_warning_points_at_the_caller():
+    for call in (
+        lambda: NoiseSpec(dphi2=0.3),
+        lambda: i_prob_jitter(0.5, 1.0, 0.3),
+        lambda: dmax_with_jitter(0.5, 1.0, 0.3),
+    ):
+        with pytest.warns(UserWarning, match="exceeds") as record:
+            call()
+        assert record[0].filename == __file__
