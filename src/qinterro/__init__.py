@@ -54,7 +54,6 @@ from .jones import (
     two_arm_absorber,
 )
 from .noise import (
-    NoiseSpec,
     augment_with_reflection,
     detection_with_reflectivity,
     dmax_with_jitter,

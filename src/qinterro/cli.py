@@ -31,7 +31,7 @@ from .analysis import (
 from .bench import BenchConfig, NO_ABSORBER, OneArmAbsorber, TwoArmAbsorber, i_prob
 from .calibration import load_calibration, mu_at
 from .exceptions import DomainError, InfeasibleError, QInterroError, UndefinedVisibilityError
-from .noise import NoiseSpec, i_prob_jitter, i_prob_reflectivity
+from .noise import i_prob_jitter, i_prob_reflectivity
 from .schemes import compare_schemes
 from .sources import (
     CoherentSource,
@@ -49,6 +49,7 @@ EXIT_IO = 4
 DEFAULT_THETAS = "0,pi/8,pi/4,3pi/8,pi/2"
 DEFAULT_PHASE_GRID = "0:2pi:25"
 
+_NEGATIVE_VALUE_RE = re.compile(r"-(?:[\d.]|pi)")
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$"
 )
@@ -156,14 +157,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _source_from_args(args) -> HeraldedSource | CoherentSource:
     if args.source == "heralded":
-        return HeraldedSource(
-            pairs_per_window=args.pairs,
-            epsilon=args.epsilon,
-            background_rate=args.background,
-        )
-    return CoherentSource(
-        nbar=args.nbar, epsilon=args.epsilon, background_rate=args.background
-    )
+        return HeraldedSource(pairs_per_window=args.pairs, background_rate=args.background)
+    return CoherentSource(nbar=args.nbar, background_rate=args.background)
 
 
 def _absorber_from_args(args):
@@ -259,7 +254,6 @@ def _mu_grid_from_args(args) -> np.ndarray:
 
 
 def cmd_sweep_mu(args) -> int:
-    noise = NoiseSpec(lambda_total=args.lambda_total, dphi2=args.dphi2)
     source = _source_from_args(args)
     mu_grid = _mu_grid_from_args(args)
 
@@ -267,8 +261,8 @@ def cmd_sweep_mu(args) -> int:
         "source": args.source,
         "rate": source.mean_rate,
         "epsilon": args.epsilon,
-        "lambda": noise.lambda_total,
-        "dphi2": noise.dphi2,
+        "lambda": args.lambda_total,
+        "dphi2": args.dphi2,
         "windows": args.windows,
         "seed": args.seed,
     }
@@ -277,10 +271,10 @@ def cmd_sweep_mu(args) -> int:
         mu = float(mu)
         ideal = i_prob(mu, args.epsilon)
         measured = simulate_interrogation_prob(
-            source, mu, windows=args.windows, seed=(args.seed, i)
+            source, mu, windows=args.windows, seed=(args.seed, i), epsilon=args.epsilon
         )
-        with_refl = i_prob_reflectivity(mu, args.epsilon, noise.lambda_total)
-        with_jitter = i_prob_jitter(mu, args.epsilon, noise.dphi2)
+        with_refl = i_prob_reflectivity(mu, args.epsilon, args.lambda_total)
+        with_jitter = i_prob_jitter(mu, args.epsilon, args.dphi2)
         rows.append((mu, ideal, measured, with_refl, with_jitter))
 
     schema = "qinterro.sweep_mu/1"
@@ -425,6 +419,13 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route that to the validation code.
     def error(self, message):
         raise CliError(message)
+
+    # argparse reads "-3:9:101" or "-pi/4" as an unknown flag; no flag of this
+    # CLI starts with "-" and a digit, "." or "pi", so such a token is a value.
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE_RE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _add_source_flags(p: _Parser) -> None:

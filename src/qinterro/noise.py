@@ -5,12 +5,15 @@ diverts a fraction lambda_j of the incoming probability out of the forward
 mode, so the forward state is scaled by (1 - sum lambda_j). Phase jitter is a
 small random error on the set phase with variance dphi2; to second order it
 multiplies the interference term by (1 - dphi2/2).
+
+Each closed form checks its own lambda_total and dphi2, so callers pass the
+values straight in; a dphi2 above JITTER_WARN_THRESHOLD raises a UserWarning
+that points at the line calling the closed form.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import jones
@@ -27,8 +30,8 @@ def _check_lambda(lambda_total: float) -> None:
         raise DomainError(f"lambda_total must be in [0, 1), got {lambda_total}")
 
 
-def _check_dphi2(dphi2: float, stacklevel: int = 3) -> None:
-    """stacklevel names the frame the warning points at, 3 being the caller's caller."""
+def _check_dphi2(dphi2: float) -> None:
+    # stacklevel 3: the warning names the caller of the public function
     non_negative("dphi2", dphi2)
     if dphi2 > JITTER_MAX:
         raise DomainError(
@@ -38,25 +41,8 @@ def _check_dphi2(dphi2: float, stacklevel: int = 3) -> None:
         warnings.warn(
             f"dphi2 = {dphi2} exceeds {JITTER_WARN_THRESHOLD}; the second-order "
             "jitter expansion is inaccurate there",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Validated bundle of noise settings used by sweeps and the CLI.
-
-    lambda_total is the summed surface reflectivity already aggregated over
-    elements. dphi2 is the phase-jitter variance in rad^2.
-    """
-
-    lambda_total: float = 0.0
-    dphi2: float = 0.0
-
-    def __post_init__(self):
-        _check_lambda(self.lambda_total)
-        # one more frame: the dataclass-generated __init__ calls __post_init__
-        _check_dphi2(self.dphi2, stacklevel=4)
 
 
 def augment_with_reflection(

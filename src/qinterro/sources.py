@@ -1,19 +1,22 @@
 """Photon-counting sources and Monte Carlo fringe scans.
 
-Two source models are supported. A heralded source emits a known number of
-signal photons per counting window, so detections are Binomial in the click
-probability. A coherent (attenuated laser) source has Poissonian photon
-statistics, so detections are Poisson with mean nbar * p. Dark and stray
-counts are an additional Poisson background per window.
+A source model describes photon statistics only. A heralded source emits a
+known number of signal photons per counting window, so detections are
+Binomial in the click probability. A coherent (attenuated laser) source has
+Poissonian photon statistics, so detections are Poisson with mean nbar * p.
+Dark and stray counts are an additional Poisson background per window. The
+input purity epsilon belongs to the bench: simulate_fringe_scan reads it from
+its BenchConfig and simulate_interrogation_prob takes it as an argument.
 
-A point's detections summed over its W windows are drawn as one variate
-with exactly the distribution of that sum: Binomial(n W, p) for a heralded
-source, Poisson(W nbar p) for a coherent one, plus Poisson(W b) background.
-Memory and time per point therefore do not grow with W.
+Both simulators draw through one sampler, _draw_totals. A point's detections
+summed over its W windows are drawn as one variate with exactly the
+distribution of that sum: Binomial(n W, p) for a heralded source,
+Poisson(W nbar p) for a coherent one, plus Poisson(W b) background. Memory
+and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per scan; derived_rng(seed, i) returns that stream. A point's count
+once per call; derived_rng(seed, i) returns that stream. A point's count
 depends only on the seed, its index and its click probability, so identical
 inputs give bit-identical counts regardless of evaluation order. The first
 0.1.0 builds drew every window from a SeedSequence((*seed, i)) generator, so
@@ -22,18 +25,19 @@ count columns differ from their 0.1.0 outputs for the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._validate import non_negative, unit_interval
+from ._validate import non_negative
 from .bench import (
     AbsorberSpec,
     BenchConfig,
     NO_ABSORBER,
-    OneArmAbsorber,
-    detection_prob,
+    detection_prob,  # kept: benchmark/run.py traces qinterro.sources.detection_prob
+    detection_prob_washed,
     detection_probs,
+    two_arm_detection,
 )
 from .exceptions import DomainError
 
@@ -78,29 +82,11 @@ def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _point_streams(key: int) -> Iterator[np.random.Generator]:
-    """Yield the generators of points 0, 1, 2, ... of a scan keyed by _stream_key.
-
-    The i-th equals derived_rng(seed, i). One Philox is reused and its state
-    assigned per point, which costs a fraction of building a generator per
-    point. Each yielded generator is the same object, valid until the next one
-    is taken.
-    """
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    index = 0
-    while True:
-        bitgen.state = _philox_state(key, index)
-        yield rng
-        index += 1
-
-
 @dataclass(frozen=True)
 class HeraldedSource:
     """Fixed number of heralded signal photons per counting window."""
 
     pairs_per_window: int
-    epsilon: float = 1.0
     background_rate: float = 0.0
 
     def __post_init__(self):
@@ -109,7 +95,6 @@ class HeraldedSource:
                 f"pairs_per_window must be a non-negative integer, got {self.pairs_per_window}"
             )
         object.__setattr__(self, "pairs_per_window", int(self.pairs_per_window))
-        unit_interval("epsilon", self.epsilon)
         non_negative("background_rate", self.background_rate)
 
     @property
@@ -123,12 +108,10 @@ class CoherentSource:
     """Attenuated laser with mean photon number nbar per counting window."""
 
     nbar: float
-    epsilon: float = 1.0
     background_rate: float = 0.0
 
     def __post_init__(self):
         non_negative("nbar", self.nbar)
-        unit_interval("epsilon", self.epsilon)
         non_negative("background_rate", self.background_rate)
 
     @property
@@ -173,25 +156,44 @@ class FringeScan:
         return self.phases.size
 
 
-def _draw_total(
-    source: SourceModel, p: float, windows: int, rng: np.random.Generator
-) -> int:
-    """Detections summed over `windows` windows, drawn as one variate per term."""
-    if not isinstance(source, (HeraldedSource, CoherentSource)):
+def _draw_totals(
+    source: SourceModel, probs: Sequence[float], windows: int, seed: SeedLike
+) -> np.ndarray:
+    """Detections of each point summed over `windows` windows, as float64.
+
+    Point i draws from the stream derived_rng(seed, i) returns: one variate
+    for the signal, then one for the background. One Philox is reused and its
+    state assigned per point, which costs a fraction of building a generator
+    per point.
+    """
+    if windows < 1:
+        raise DomainError("windows must be >= 1")
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    if isinstance(source, HeraldedSource):
+        trials = source.pairs_per_window * int(windows)
+        signal = lambda p: rng.binomial(trials, p)
+    elif isinstance(source, CoherentSource):
+        scale = windows * source.nbar
+        signal = lambda p: rng.poisson(scale * p)
+    else:
         raise DomainError(f"unknown source model {source!r}")
+    background = windows * source.background_rate
+    key = _stream_key(seed)
+    totals = np.empty(len(probs))
     try:
-        if isinstance(source, HeraldedSource):
-            total = int(rng.binomial(source.pairs_per_window * int(windows), p))
-        else:
-            total = int(rng.poisson(windows * source.nbar * p))
-        if source.background_rate > 0.0:
-            total += int(rng.poisson(windows * source.background_rate))
+        for i, p in enumerate(probs):
+            bitgen.state = _philox_state(key, i)
+            total = int(signal(p))
+            if background > 0.0:
+                total += int(rng.poisson(background))
+            totals[i] = float(total)
     except (OverflowError, ValueError):
         # numpy samples into int64: n >= 2**63 overflows, a mean near 9.2e18 is refused
         raise DomainError(
             f"a point's total over {windows} windows is too large to sample in int64"
         ) from None
-    return total
+    return totals
 
 
 def simulate_fringe_scan(
@@ -207,23 +209,17 @@ def simulate_fringe_scan(
     For each grid value the bench is configured so that phi1 + phi2 equals the
     grid phase (phi2 is adjusted, phi1 kept), the click probabilities of all
     points come from one detection_probs call, and each point's total over
-    windows_per_point windows is drawn from its own keyed stream.
+    windows_per_point windows is drawn from its own keyed stream. The input
+    purity is cfg.epsilon.
     """
     grid = np.asarray(phase_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("phase_grid must be a non-empty 1-d sequence")
     if not np.isfinite(grid).all():
         raise DomainError("phase_grid values must be finite")
-    if windows_per_point < 1:
-        raise DomainError("windows_per_point must be >= 1")
-    key = _stream_key(seed)
-
     # phi2 as BenchConfig.with_total_phase sets it
     probs = detection_probs(cfg, absorber, grid - cfg.phi1)
-    counts = np.array([
-        float(_draw_total(source, p, windows_per_point, rng))
-        for p, rng in zip(probs.tolist(), _point_streams(key))
-    ])
+    counts = _draw_totals(source, probs.tolist(), windows_per_point, seed)
     return FringeScan(phases=grid, counts=counts, expected_probs=probs)
 
 
@@ -232,28 +228,19 @@ def simulate_interrogation_prob(
     mu: float,
     windows: int,
     seed: SeedLike,
-    delta: float = 0.0,
+    epsilon: float = 1.0,
 ) -> float:
     """Monte Carlo estimate of the interrogation probability for one object.
 
-    Two legs are measured with independent derived seeds: the bright fringe
-    with the object removed (total phase 0, full contrast), and the washed-out
-    rate with the object inserted (contrast 0). Both counts are normalized by
-    the offered photons; the background contributes equally to both legs and
-    cancels in the difference on average.
+    Two legs are drawn as points 0 and 1 of one keyed scan: the bright fringe
+    with the object removed, (1 + epsilon) / 2, and the washed-out rate with
+    the object inserted, (1 + mu) / 4, which no object phase can change. Both
+    counts are normalized by the offered photons; the background contributes
+    equally to both legs and cancels in the difference on average.
     """
-    if windows < 1:
-        raise DomainError("windows must be >= 1")
-    key = _stream_key(seed)
-    eps = source.epsilon
-    p_ref = detection_prob(BenchConfig(epsilon=eps))
-    p_obj = detection_prob(
-        BenchConfig(epsilon=eps, contrast_envelope=0.0), OneArmAbsorber(mu, delta)
-    )
-    total_ref, total_obj = (
-        _draw_total(source, p, windows, rng)
-        for p, rng in zip((p_ref, p_obj), _point_streams(key))
-    )
+    p_ref = two_arm_detection(1.0, 1.0, epsilon, 0.0)
+    p_obj = detection_prob_washed(mu)
+    total_ref, total_obj = _draw_totals(source, (p_ref, p_obj), windows, seed)
     denom = source.mean_rate * windows
     if denom <= 0.0:
         raise DomainError("source emits no photons; cannot normalize")

@@ -207,8 +207,8 @@ def test_criterion_6_monte_carlo_visibility_reproduction():
     failures = []
     details = []
     protocols = (
-        ("heralded", HeraldedSource(pairs_per_window=800, epsilon=0.8827), 0.8827),
-        ("coherent", CoherentSource(nbar=800.0, epsilon=0.7713), 0.7713),
+        ("heralded", HeraldedSource(pairs_per_window=800), 0.8827),
+        ("coherent", CoherentSource(nbar=800.0), 0.7713),
     )
     for name, source, target in protocols:
         # 800 per window x 25 windows puts the fringe offset near 1e4 counts

@@ -119,9 +119,9 @@ def test_fit_fringe_result_consistency():
 
 
 def test_fit_fringe_poisson_single_run():
-    src = HeraldedSource(pairs_per_window=800, epsilon=0.7713)
+    src = HeraldedSource(pairs_per_window=800)
     scan = simulate_fringe_scan(
-        src, BenchConfig(epsilon=src.epsilon), phase_grid=np.linspace(0, 2 * math.pi, 25),
+        src, BenchConfig(epsilon=0.7713), phase_grid=np.linspace(0, 2 * math.pi, 25),
         windows_per_point=25, seed=2718,
     )
     res = fit_fringe(scan)

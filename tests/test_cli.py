@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,13 @@ def test_validation_exit_codes(tmp_path, capsys):
     for thetas in ("inf", "pi/0", "pi/4,nan"):
         assert run(["fringes", "--thetas", thetas, "-o", tmp_path / "x.csv"]) == 3
 
+    # noise settings outside their closed forms' domains
+    capsys.readouterr()
+    assert run(["sweep-mu", "--mu-grid", "0:1:3", "--lambda", 1, "-o", tmp_path / "x.csv"]) == 3
+    assert "lambda_total must be in [0, 1), got 1.0" in capsys.readouterr().err
+    assert run(["sweep-mu", "--mu-grid", "0:1:3", "--dphi2", 0.7, "-o", tmp_path / "x.csv"]) == 3
+    assert "outside the small-jitter regime" in capsys.readouterr().err
+
     assert run(["compare", "--n-values", "2,x", "-o", tmp_path / "x.csv"]) == 3
     assert run(["compare", "--mu-values", "0,half", "-o", tmp_path / "x.csv"]) == 3
 
@@ -308,6 +319,43 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["fringes", "--pairs", 2**40, "--windows", 2**30, "--thetas", "pi/4",
                 "-o", tmp_path / "x.csv"]) == 3
     assert "int64" in capsys.readouterr().err
+
+
+def test_values_that_start_with_a_minus(tmp_path, capsys):
+    # "-3:9:101" and "-pi/4" are values, both as a separate token and after "="
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(["fringes", "--phase-grid", "-3:9:101", "--thetas", "-pi/4,pi/4",
+                "--mu", 0.4, "--delta", "-pi/4", "-o", spaced]) == 0
+    assert run(["fringes", "--phase-grid=-3:9:101", "--thetas=-pi/4,pi/4",
+                "--mu", 0.4, "--delta=-pi/4", "-o", joined]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    points, summary = read_fringe_sections(spaced)
+    assert len(points) == 2 * 101 and len(summary) == 2
+    assert float(points[0][0]) == -math.pi / 4 and float(points[0][1]) == -3.0
+    capsys.readouterr()
+
+    assert run(["estimate", "--scan", spaced, "--theta", "-pi/4", "--epsilon", 1]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    # a negative value now reaches its own check instead of "expected one argument"
+    assert run(["sweep-mu", "--calibration", "data/calibration_synthetic_635nm.csv",
+                "--positions", "-1:12:4", "-o", tmp_path / "x.csv"]) == 3
+    assert "outside calibrated range" in capsys.readouterr().err
+    assert run(["fringes", "--mu", 0.4, "--delta", "-x", "-o", tmp_path / "x.csv"]) == 3
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
+    # with Python's default warning filters, one run prints the dphi2 warning once
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "qinterro.cli", "sweep-mu", "--mu-grid", "0:1:5",
+         "--dphi2", "0.45", "-o", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("UserWarning") == 1, done.stderr
 
 
 def test_io_exit_codes(tmp_path, capsys):

@@ -7,7 +7,6 @@ from qinterro import jones
 from qinterro.bench import BenchConfig, OneArmAbsorber, detection_prob, i_prob
 from qinterro.exceptions import DomainError
 from qinterro.noise import (
-    NoiseSpec,
     augment_with_reflection,
     detection_with_reflectivity,
     dmax_with_jitter,
@@ -98,17 +97,15 @@ def test_jitter_domain_and_warning():
         i_prob_jitter(0.5, 1.0, -0.01)
     with pytest.warns(UserWarning):
         dmax_with_jitter(0.5, 1.0, 0.3)
-    with pytest.warns(UserWarning):
-        NoiseSpec(dphi2=0.25)
 
 
 def test_noise_spec_validation():
-    spec = NoiseSpec(lambda_total=0.1, dphi2=0.05)
-    assert (spec.lambda_total, spec.dphi2) == (0.1, 0.05)
+    # lambda_total is half-open: a surface that reflects everything is refused
+    assert i_prob_reflectivity(0.5, 1.0, 0.1) == pytest.approx(0.9 * i_prob(0.5, 1.0), abs=1e-12)
     with pytest.raises(DomainError):
-        NoiseSpec(lambda_total=1.0)
+        i_prob_reflectivity(0.5, 1.0, 1.0)
     with pytest.raises(DomainError):
-        NoiseSpec(dphi2=0.7)
+        i_prob_jitter(0.5, 1.0, 0.7)
 
 
 def test_jitter_matches_monte_carlo_average():
@@ -140,7 +137,6 @@ def test_jitter_matches_monte_carlo_average():
 
 def test_jitter_warning_points_at_the_caller():
     for call in (
-        lambda: NoiseSpec(dphi2=0.3),
         lambda: i_prob_jitter(0.5, 1.0, 0.3),
         lambda: dmax_with_jitter(0.5, 1.0, 0.3),
     ):
