@@ -68,6 +68,8 @@ _COMPARE_COLUMNS = ("scheme", "parameter", "eta")
 # A bare scan file is phase_rad,counts[,...]; a fringes file puts theta_rad first.
 _BARE_HEADER = _FRINGES_COLUMNS[1:3]
 _THETA_HEADER = _FRINGES_COLUMNS[:3]
+# A fringes row belongs to the selected theta when it lies this close to it.
+_THETA_MATCH = 1e-9
 
 
 class CliError(DomainError):
@@ -287,46 +289,69 @@ def cmd_sweep_mu(args) -> int:
     return EXIT_OK
 
 
+def _cells(line: str) -> list[str]:
+    return [c.strip() for c in line.split(",")]
+
+
 def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
     """Read the scan points of a bare scan, or of one theta of a fringes file.
 
+    One pass over the file. A data row is split once at its first comma; the
+    theta text before it goes through float() once per distinct text, and
+    only the rows of the selected theta have their phase and counts parsed.
     Reading stops at the fringes summary header.
     """
     phases = []
     counts = []
+    # theta text as written -> whether its rows are the selected theta
+    selected: dict[str, bool] = {}
     per_theta: Optional[bool] = None
     with open(path) as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            head, _, rest = raw.partition(",")
+            use = selected.get(head)
+            if use is False:
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            if per_theta is None:
-                header = tuple(c.lower() for c in cells)
-                per_theta = header[:3] == _THETA_HEADER
-                if not per_theta and header[:2] != _BARE_HEADER:
-                    raise CliError(
-                        f"unrecognized scan header {','.join(cells)!r}; expected "
-                        f"{','.join(_BARE_HEADER)}[,...] or {','.join(_THETA_HEADER)}[,...]"
-                    )
-                if per_theta and theta is None:
-                    raise CliError("scan file has per-theta rows; select one with --theta")
-                continue
+            if use is None:
+                # a blank, comment, header or bare row, or a theta text not seen yet
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if per_theta is None:
+                    cells = _cells(line)
+                    header = tuple(c.lower() for c in cells)
+                    per_theta = header[:3] == _THETA_HEADER
+                    if not per_theta and header[:2] != _BARE_HEADER:
+                        raise CliError(
+                            f"unrecognized scan header {','.join(cells)!r}; expected "
+                            f"{','.join(_BARE_HEADER)}[,...] or {','.join(_THETA_HEADER)}[,...]"
+                        )
+                    if per_theta and theta is None:
+                        raise CliError("scan file has per-theta rows; select one with --theta")
+                    continue
+                if not per_theta:
+                    rest = raw
             try:
-                if per_theta:
-                    row_theta = float(cells[0])
+                if use is None and per_theta:
                     # negated so that a nan theta in the file matches nothing
-                    if not abs(row_theta - theta) <= 1e-9:
+                    use = selected[head] = abs(float(head) - theta) <= _THETA_MATCH
+                    if not use:
                         continue
-                    phases.append(float(cells[1]))
-                    counts.append(float(cells[2]))
-                else:
-                    phases.append(float(cells[0]))
-                    counts.append(float(cells[1]))
-            except (ValueError, IndexError):
-                if tuple(c.lower() for c in cells) == _SUMMARY_COLUMNS:
+                phase, count = rest.split(",", 2)[:2]
+                phases.append(float(phase))
+                counts.append(float(count))
+            except ValueError:
+                line = raw.strip()
+                if tuple(c.lower() for c in _cells(line)) == _SUMMARY_COLUMNS:
                     break
                 raise CliError(f"could not parse scan row {line!r}") from None
+    if not phases and selected:
+        found = list(dict.fromkeys(text.strip() for text in selected))
+        listed = ", ".join(found[:8]) + (f", ... ({len(found)} in all)" if len(found) > 8 else "")
+        raise CliError(
+            f"no scan points with theta_rad within {_THETA_MATCH:g} of {theta!r} in {path}; "
+            f"found theta_rad {listed}"
+        )
     if not phases:
         raise CliError(f"no scan points found in {path}")
     return FringeScan(phases=np.array(phases), counts=np.array(counts))
@@ -342,6 +367,8 @@ def cmd_estimate(args) -> int:
         res = fit_fringe(scan)
         visibility = res.visibility
         std_error = res.std_error
+        report["points"] = len(scan)
+        report["used_fallback"] = res.used_fallback
     elif args.visibility is not None:
         visibility = args.visibility
     else:

@@ -156,6 +156,13 @@ class FringeScan:
         return self.phases.size
 
 
+def _check_emits(source: SourceModel) -> None:
+    # Both simulators normalize by, or fit fringes of, the offered photons;
+    # background counts alone carry no interference.
+    if not source.mean_rate > 0.0:
+        raise DomainError("source emits no photons; cannot normalize")
+
+
 def _draw_totals(
     source: SourceModel, probs: Sequence[float], windows: int, seed: SeedLike
 ) -> np.ndarray:
@@ -217,6 +224,7 @@ def simulate_fringe_scan(
         raise DomainError("phase_grid must be a non-empty 1-d sequence")
     if not np.isfinite(grid).all():
         raise DomainError("phase_grid values must be finite")
+    _check_emits(source)
     # phi2 as BenchConfig.with_total_phase sets it
     probs = detection_probs(cfg, absorber, grid - cfg.phi1)
     counts = _draw_totals(source, probs.tolist(), windows_per_point, seed)
@@ -238,10 +246,9 @@ def simulate_interrogation_prob(
     counts are normalized by the offered photons; the background contributes
     equally to both legs and cancels in the difference on average.
     """
+    _check_emits(source)
     p_ref = two_arm_detection(1.0, 1.0, epsilon, 0.0)
     p_obj = detection_prob_washed(mu)
     total_ref, total_obj = _draw_totals(source, (p_ref, p_obj), windows, seed)
     denom = source.mean_rate * windows
-    if denom <= 0.0:
-        raise DomainError("source emits no photons; cannot normalize")
     return float(total_ref) / denom - float(total_obj) / denom

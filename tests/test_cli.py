@@ -187,6 +187,7 @@ def test_estimate_from_visibility(tmp_path, capsys):
     assert report["mu_hat"] == pytest.approx(0.25, abs=1e-12)
     assert report["feasible"] is True
     assert report["residual"] <= 1e-12
+    assert "points" not in report and "used_fallback" not in report  # --scan only
     assert out.read_bytes() == (captured.rstrip("\n") + "\n").encode()
 
 
@@ -217,6 +218,7 @@ def test_estimate_from_scan_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["std_error"] > 0
     assert abs(report["mu_hat"] - 0.25) < 0.05
+    assert report["points"] == 25 and report["used_fallback"] is False
 
     # bare two-column scans work without --theta
     bare = tmp_path / "bare.csv"
@@ -230,6 +232,14 @@ def test_estimate_from_scan_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["visibility"] == pytest.approx(0.8, abs=1e-9)
     assert report["mu_hat"] == pytest.approx(0.25, abs=1e-7)
+    assert report["points"] == 25 and report["used_fallback"] is False
+
+    # a square wave is no sinusoid: the raw extrema are used, and the report says so
+    bare.write_text("phase_rad,counts\n" + "".join(
+        f"{k * math.pi / 4!r},{1000 * (k % 2)}\n" for k in range(8)))
+    assert run(["estimate", "--scan", bare, "--epsilon", 1.0]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["points"] == 8 and report["used_fallback"] is True
 
 
 def test_estimate_infeasible_exit_code(capsys):
@@ -356,6 +366,17 @@ def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("UserWarning") == 1, done.stderr
+
+
+def test_source_that_emits_no_photons(tmp_path, capsys):
+    # background alone carries no fringe and offers nothing to normalize by
+    out = tmp_path / "x.csv"
+    for source in (["--source", "coherent", "--nbar", 0], ["--pairs", 0],
+                   ["--pairs", 0, "--background", 2]):
+        for command in (["fringes"], ["sweep-mu", "--mu-grid", "0:1:3"]):
+            assert run(command + source + ["-o", out]) == 3
+            assert "error: source emits no photons; cannot normalize" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_io_exit_codes(tmp_path, capsys):
