@@ -16,11 +16,11 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._validate import finite
+from ._validate import finite, non_negative
 from .analysis import (
     estimate_mu,
     estimate_mu_two_arm,
@@ -138,10 +138,26 @@ def _config_comment(pairs: dict) -> str:
     return f"# config: {body}"
 
 
+# A column whose cells all have one of these exact types skips _fmt's checks;
+# bool, numpy scalars, str and None are not among them.
+_PLAIN_FORMAT = {float: repr, int: str}
+
+
+def _format_column(cells: tuple) -> Iterator[str]:
+    """The cells of one column as _fmt writes them, formatted column-wise."""
+    kinds = set(map(type, cells))
+    fmt = _PLAIN_FORMAT.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt
+    return map(fmt, cells)
+
+
 def _csv_section(schema: str, columns: Sequence[str], rows, *comments: str) -> str:
-    """One CSV section: schema tag, comment lines, header, then the rows."""
+    """One CSV section: schema tag, comment lines, header, then the rows.
+
+    Each row's cell i reads as _fmt(row[i]); the rows are formatted one
+    column at a time, and rows must all have the same length.
+    """
     lines = [f"# schema={schema}", *comments, ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_format_column, zip(*rows)))))
     return "\n".join(lines) + "\n"
 
 
@@ -209,12 +225,12 @@ def cmd_fringes(args) -> int:
             windows_per_point=args.windows,
             seed=(args.seed, k),
         )
-        points.extend(
-            (theta, phase, int(counts), prob)
-            for phase, counts, prob in zip(
-                scan.phases.tolist(), scan.counts.tolist(), scan.expected_probs.tolist()
-            )
-        )
+        points.extend(zip(
+            [theta] * len(scan),
+            scan.phases.tolist(),
+            list(map(int, scan.counts.tolist())),
+            scan.expected_probs.tolist(),
+        ))
         try:
             res = fit_fringe(scan)
         except UndefinedVisibilityError as exc:
@@ -269,6 +285,7 @@ def cmd_sweep_mu(args) -> int:
         "seed": args.seed,
     }
     rows = []
+    negative = []  # mu values whose i_prob_jitter is below 0
     for i, mu in enumerate(mu_grid):
         mu = float(mu)
         ideal = i_prob(mu, args.epsilon)
@@ -278,6 +295,16 @@ def cmd_sweep_mu(args) -> int:
         with_refl = i_prob_reflectivity(mu, args.epsilon, args.lambda_total)
         with_jitter = i_prob_jitter(mu, args.epsilon, args.dphi2)
         rows.append((mu, ideal, measured, with_refl, with_jitter))
+        if with_jitter < 0.0:
+            negative.append(f"{mu:.6g}")
+    # The jitter law is the paper's and assumes epsilon = 1; below that it can
+    # go negative. Its values are written as they are, and named here.
+    if negative:
+        print(
+            f"warning: i_prob_jitter is below 0 at mu = {', '.join(negative)}; "
+            "its law (1 + 2 epsilon - mu - dphi2) / 4 assumes epsilon = 1",
+            file=sys.stderr,
+        )
 
     schema = "qinterro.sweep_mu/1"
     if args.format == "json":
@@ -360,6 +387,9 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
 def cmd_estimate(args) -> int:
     report: dict = {"schema": "qinterro.estimate/1"}
     std_error = args.std_error
+    if std_error is not None:
+        # also keeps nan and inf, which JSON cannot carry, out of the report
+        std_error = non_negative("std_error", std_error)
 
     if args.scan is not None:
         theta = None if args.theta is None else parse_angle(args.theta)

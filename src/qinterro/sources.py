@@ -16,15 +16,19 @@ and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per call; derived_rng(seed, i) returns that stream. A point's count
-depends only on the seed, its index and its click probability, so identical
-inputs give bit-identical counts regardless of evaluation order. The first
-0.1.0 builds drew every window from a SeedSequence((*seed, i)) generator, so
-count columns differ from their 0.1.0 outputs for the same seed.
+once per call; derived_rng(seed, i) returns that stream. _draw_totals builds
+one Philox state dict per call and rewrites word 1 of its key in place before
+each point, so a point costs one state assignment and its draws. A point's
+count depends only on the seed, its index and its click probability, so
+identical inputs give bit-identical counts regardless of evaluation order. The
+first 0.1.0 builds drew every window from a SeedSequence((*seed, i))
+generator, so count columns differ from their 0.1.0 outputs for the same
+seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -169,9 +173,11 @@ def _draw_totals(
     """Detections of each point summed over `windows` windows, as float64.
 
     Point i draws from the stream derived_rng(seed, i) returns: one variate
-    for the signal, then one for the background. One Philox is reused and its
-    state assigned per point, which costs a fraction of building a generator
-    per point.
+    for the signal, then one for the background. One Philox is reused, and
+    one state dict is built per call: before each point, word 1 of its key
+    array is overwritten in place with the point index and the dict is
+    assigned, which resets the counter and buffer to those of a fresh (k, i)
+    stream.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
@@ -179,19 +185,21 @@ def _draw_totals(
     rng = np.random.Generator(bitgen)
     if isinstance(source, HeraldedSource):
         trials = source.pairs_per_window * int(windows)
-        signal = lambda p: rng.binomial(trials, p)
+        signal, params = partial(rng.binomial, trials), probs
     elif isinstance(source, CoherentSource):
         scale = windows * source.nbar
-        signal = lambda p: rng.poisson(scale * p)
+        signal, params = rng.poisson, [scale * p for p in probs]
     else:
         raise DomainError(f"unknown source model {source!r}")
     background = windows * source.background_rate
-    key = _stream_key(seed)
-    totals = np.empty(len(probs))
+    state = _philox_state(_stream_key(seed), 0)
+    key = state["state"]["key"]
+    totals = np.empty(len(params))
     try:
-        for i, p in enumerate(probs):
-            bitgen.state = _philox_state(key, i)
-            total = int(signal(p))
+        for i, x in enumerate(params):
+            key[1] = i
+            bitgen.state = state
+            total = int(signal(x))
             if background > 0.0:
                 total += int(rng.poisson(background))
             totals[i] = float(total)

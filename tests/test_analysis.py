@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from qinterro import jones
@@ -220,6 +222,52 @@ def test_estimate_mu_two_arm_branches():
         estimate_mu_two_arm(0.5, 0.0, 1.0)
     with pytest.raises(InfeasibleError):
         estimate_mu_two_arm(0.95, 0.861, 0.63)
+
+
+def _inverse_tolerance(value: float, slope: float) -> float:
+    """Absolute tolerance on x recovered from value(x).
+
+    A few ulp of the value over |dvalue/dx|, capped at the sqrt(ulp)
+    resolution near the fold, where the slope vanishes (V is largest at
+    equal arms, so mu near 1, or mu2 near mu1, is ill-conditioned).
+    """
+    if slope == 0.0:
+        return 1e-6
+    return 1e-12 + min(1e-14 * value / abs(slope), 1e-6)
+
+
+_purity = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+_fraction = st.floats(1e-6, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.one_of(st.just(1.0), _fraction), eps=_purity)
+def test_estimate_mu_round_trip(mu, eps):
+    v = visibility_one_arm(mu, eps)
+    slope = eps * (1.0 - mu) / (math.sqrt(mu) * (1.0 + mu) ** 2)
+    assert estimate_mu(v, eps) == pytest.approx(mu, abs=_inverse_tolerance(v, slope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu1=st.floats(1e-3, 1.0), frac=_fraction, eps=_purity)
+def test_estimate_mu_two_arm_round_trip_low_branch(mu1, frac, eps):
+    # the low branch is the root with mu2 <= mu1
+    mu2 = frac * mu1
+    v = visibility_two_arm(mu1, mu2, eps)
+    slope = eps * math.sqrt(mu1) * (mu1 - mu2) / (math.sqrt(mu2) * (mu1 + mu2) ** 2)
+    got = estimate_mu_two_arm(v, mu1, eps)
+    assert got == pytest.approx(mu2, abs=_inverse_tolerance(v, slope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu1=st.floats(1e-3, 1.0), frac=st.floats(0.0, 1.0), eps=_purity)
+def test_estimate_mu_two_arm_round_trip_high_branch(mu1, frac, eps):
+    # the high branch is the root with mu2 >= mu1; mu2 <= 1 keeps it physical
+    mu2 = min(mu1 + frac * (1.0 - mu1), 1.0)
+    v = visibility_two_arm(mu1, mu2, eps)
+    slope = eps * math.sqrt(mu1) * (mu1 - mu2) / (math.sqrt(mu2) * (mu1 + mu2) ** 2)
+    got = estimate_mu_two_arm(v, mu1, eps, larger_branch=True)
+    assert got == pytest.approx(mu2, abs=_inverse_tolerance(v, slope))
 
 
 def test_fit_epsilon_iprob_exact_recovery():

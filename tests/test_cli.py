@@ -7,9 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qinterro.analysis import visibility_no_absorber
 from qinterro.cli import (
+    _SUMMARY_COLUMNS,
+    _csv_section,
+    _fmt,
     _read_scan_csv,
     main,
     parse_angle,
@@ -330,6 +335,14 @@ def test_validation_exit_codes(tmp_path, capsys):
                 "-o", tmp_path / "x.csv"]) == 3
     assert "int64" in capsys.readouterr().err
 
+    # a standard error must be a finite non-negative number; nan and inf
+    # would reach the JSON report as NaN and Infinity, which JSON forbids
+    for std_error in ("-1", "nan", "inf"):
+        assert run(["estimate", "--visibility", 0.5, "--epsilon", 1,
+                    "--std-error", std_error, "-o", tmp_path / "e.json"]) == 3
+        assert "std_error must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
 
 def test_values_that_start_with_a_minus(tmp_path, capsys):
     # "-3:9:101" and "-pi/4" are values, both as a separate token and after "="
@@ -366,6 +379,66 @@ def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("UserWarning") == 1, done.stderr
+
+
+def test_sweep_mu_names_negative_jitter_values(tmp_path, capsys):
+    # the jitter law assumes epsilon = 1; at epsilon 0 it goes below 0 for
+    # mu > 1 - dphi2, and those values are written unchanged but named
+    out = tmp_path / "sweep.csv"
+    with pytest.warns(UserWarning, match="dphi2 = 0.45 exceeds"):
+        assert run(["sweep-mu", "--epsilon", 0, "--dphi2", 0.45, "--mu-grid", "0:1:11",
+                    "-o", out]) == 0
+    err = capsys.readouterr().err
+    assert err.count("i_prob_jitter is below 0") == 1
+    assert "at mu = 0.6, 0.7, 0.8, 0.9, 1;" in err
+    last = out.read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 1.0 and last[4] == "-0.1125"
+
+
+def test_sweep_mu_at_full_purity_has_no_negative_jitter(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="dphi2 = 0.45 exceeds"):
+        assert run(["sweep-mu", "--epsilon", 1, "--dphi2", 0.45, "--mu-grid", "0:1:11",
+                    "-o", tmp_path / "sweep.csv"]) == 0
+    assert "i_prob_jitter is below 0" not in capsys.readouterr().err
+
+
+def _reference_csv_section(schema, columns, rows, *comments):
+    # the cell-by-cell writer that _csv_section must match byte for byte
+    lines = [f"# schema={schema}", *comments, ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_CELLS = (
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.text(),
+    st.none(),
+)
+# a column draws all its cells from one of these
+_COLUMN = st.sampled_from(
+    [*_CELLS, st.one_of(_CELLS[1], _CELLS[4]), st.one_of(*_CELLS)]
+)
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_COLUMN, min_size=1, max_size=6))
+    n_rows = draw(st.integers(0, 12))
+    return [tuple(draw(cell) for cell in columns) for _ in range(n_rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_tables())
+@example(rows=[(0.25,) + (None,) * (len(_SUMMARY_COLUMNS) - 1)])  # opaque-theta summary
+@example(rows=[(1, True), (0, 2), (False, 3)])  # int and bool in one column
+@example(rows=[])
+def test_csv_section_matches_the_cell_by_cell_writer(rows):
+    want = _reference_csv_section("s/1", ("a", "b"), rows, "# note: x")
+    assert _csv_section("s/1", ("a", "b"), iter(rows), "# note: x") == want
 
 
 def test_source_that_emits_no_photons(tmp_path, capsys):
