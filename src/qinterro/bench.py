@@ -143,11 +143,14 @@ def detection_probs(
 
     Element k equals detection_prob(replace(cfg, phi2=phi2[k]), absorber);
     cfg.phi2 itself is not used. The elements up to the second half-wave
-    plate are built once through the validated jones constructors. The
-    per-point phase, the contrast envelope and the post-selection projector
-    then act on all points at once as (N, 2, 2) arrays, and the state
-    invariants and the [0, 1] range of p are checked once for the batch, to
-    the tolerance of the validated chain.
+    plate are built once through the validated jones constructors, giving a
+    state [[h, r01], [r10, v]]. The second prism, relative_phase(-phi2),
+    keeps h and v and turns the off-diagonal into s01 = r01 e^{i phi2} and
+    s10 = r10 e^{-i phi2}; the contrast envelope gamma scales both, and the
+    polarizer P gives p = Re(P00 h + P11 v + gamma (P01 s10 + P10 s01)).
+    All of it runs on length-N vectors. The state invariants (Hermitian,
+    lowest eigenvalue, trace in [0, 1]) and the [0, 1] range of p are
+    checked for every point, to the tolerance of the validated chain.
     """
     phi2 = np.asarray(phi2, dtype=float)
     if phi2.ndim != 1:
@@ -155,23 +158,24 @@ def detection_probs(
     if not np.isfinite(phi2).all():
         raise DomainError(f"phi2 must be finite, got {phi2[~np.isfinite(phi2)][0]}")
     rho = _before_second_prism(cfg, absorber).matrix
-
-    # relative_phase(-phi2) per point, conjugating the fixed state
-    ops = np.zeros((phi2.size, 2, 2), dtype=np.complex128)
-    ops[:, 0, 0] = 1.0
-    ops[:, 1, 1] = np.exp(1j * -phi2)
-    states = ops @ rho @ ops.conj().transpose(0, 2, 1)
+    h, v = rho[0, 0], rho[1, 1]
+    phase = np.exp(1j * phi2)
+    # Operand order as in U rho U^dagger: numpy's complex product can round
+    # a*b and b*a differently.
+    s01 = rho[0, 1] * phase
+    s10 = phase.conj() * rho[1, 0]
     # Checked before the envelope: scaling the off-diagonal by gamma in
     # [0, 1] keeps the trace and the Hermitian part and can only raise the
     # lower eigenvalue.
-    jones._check_state(states, jones.COMPOSITE_TOL)
-    gamma = cfg.contrast_envelope
-    if gamma != 1.0:
-        states[:, 0, 1] *= gamma
-        states[:, 1, 0] *= gamma
+    jones._check_state(h, v, s01, s10, jones.COMPOSITE_TOL)
 
-    proj = jones.polarizer(cfg.theta_post).matrix
-    p = np.trace(proj @ states, axis1=1, axis2=2).real
+    # The polarizer is real, so Re tr(P S) needs only the real parts of the
+    # entries of S; they are summed in the order of tr(P @ S).
+    proj = jones.polarizer(cfg.theta_post).matrix.real
+    gamma = cfg.contrast_envelope
+    p = (proj[0, 0] * h.real + proj[0, 1] * (gamma * s10.real)) + (
+        proj[1, 0] * (gamma * s01.real) + proj[1, 1] * v.real
+    )
     tol = jones.COMPOSITE_TOL
     for worst in (p.min(initial=0.0), p.max(initial=0.0)):
         if worst < -tol or worst > 1.0 + tol:

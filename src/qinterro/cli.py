@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 infeasible estimate, 3 validation or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -388,6 +389,10 @@ def cmd_estimate(args) -> int:
     report: dict = {"schema": "qinterro.estimate/1"}
     std_error = args.std_error
     if std_error is not None:
+        if args.scan is not None:
+            raise CliError(
+                "--std-error cannot be used with --scan: the fit supplies the standard error"
+            )
         # also keeps nan and inf, which JSON cannot carry, out of the report
         std_error = non_negative("std_error", std_error)
 
@@ -494,7 +499,13 @@ def _add_source_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=42)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once per process.
+
+    argparse keeps no state from one parse_args call to the next (each call
+    fills a new Namespace), so main reuses this one parser for every call.
+    """
     parser = _Parser(prog="qinterro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -89,26 +89,28 @@ class Operator:
         _check_operator_kind(self.matrix, self.kind)
 
 
-def _check_state(m: np.ndarray, tol: float) -> None:
-    """State invariants of one 2x2 matrix, or of each matrix of an (N, 2, 2) stack.
+def _check_state(h, v, s01, s10, tol: float) -> None:
+    """State invariants of the 2x2 matrix [[h, s01], [s10, v]].
 
-    A stack reports its worst offending value.
+    h and v are complex scalars. s01 and s10 are complex scalars, or arrays
+    over the points of a batch that share h and v; a batch reports its worst
+    offending value.
     """
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    defect = max(
+        abs(s01 - s10.conjugate()).max(initial=0.0), 2.0 * abs(h.imag), 2.0 * abs(v.imag)
+    )
     if defect > tol:
         raise InternalConsistencyError("density matrix is not Hermitian")
-    diag = m.diagonal(axis1=-2, axis2=-1).real
-    h, v = diag[..., 0], diag[..., 1]
-    tr = h + v
-    # lower closed-form eigenvalue, as in hermitian_eigenvalues
-    lowest = (0.5 * tr - np.hypot(0.5 * (h - v), np.abs(m[..., 0, 1]))).min(initial=0.0)
+    tr = h.real + v.real
+    # lower closed-form eigenvalue, as in hermitian_eigenvalues; it falls as
+    # |s01| grows, so the largest |s01| gives a batch's lowest
+    lowest = 0.5 * tr - math.hypot(0.5 * (h.real - v.real), abs(s01).max(initial=0.0))
     if lowest < -tol:
         raise InternalConsistencyError(
             f"density matrix has negative eigenvalue {lowest}"
         )
-    for worst in (tr.min(initial=0.0), tr.max(initial=0.0)):
-        if worst < -tol or worst > 1.0 + tol:
-            raise InternalConsistencyError(f"density matrix trace {worst} outside [0, 1]")
+    if tr < -tol or tr > 1.0 + tol:
+        raise InternalConsistencyError(f"density matrix trace {tr} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_2x2(self.matrix))
-        _check_state(self.matrix, COMPOSITE_TOL)
+        m = self.matrix
+        _check_state(m[0, 0], m[1, 1], m[0, 1], m[1, 0], COMPOSITE_TOL)
 
     @property
     def trace(self) -> float:

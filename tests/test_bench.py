@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qinterro import jones
+from qinterro import bench, jones
 from qinterro.bench import (
     NO_ABSORBER,
     BenchConfig,
@@ -19,7 +20,7 @@ from qinterro.bench import (
     i_prob,
     two_arm_detection,
 )
-from qinterro.exceptions import DomainError
+from qinterro.exceptions import DomainError, InternalConsistencyError
 
 RNG = np.random.default_rng(8181)
 
@@ -98,7 +99,13 @@ _UNIT = st.floats(0.0, 1.0)
         st.builds(OneArmAbsorber, _UNIT, _ANGLES),
         st.builds(TwoArmAbsorber, _UNIT, _UNIT, _ANGLES),
     ),
-    phi2=st.lists(_ANGLES, min_size=1, max_size=8),
+    phi2=st.lists(_ANGLES, min_size=1, max_size=401),
+)
+# a batch the size of a dense fringe scan
+@example(
+    cfg=BenchConfig(epsilon=0.9, theta_post=0.7, contrast_envelope=0.8),
+    absorber=OneArmAbsorber(0.4, 0.3),
+    phi2=np.linspace(-2 * math.pi, 2 * math.pi, 401).tolist(),
 )
 def test_detection_probs_matches_reference_chain(cfg, absorber, phi2):
     got = detection_probs(cfg, absorber, np.array(phi2))
@@ -109,6 +116,20 @@ def test_detection_probs_matches_reference_chain(cfg, absorber, phi2):
         want = np.trace(jones.polarizer(point.theta_post).matrix @ rho.matrix).real
         assert abs(got[k] - want) <= 1e-15
     assert detection_prob(cfg, absorber) == detection_probs(cfg, absorber, [cfg.phi2])[0]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.5, 0.2], [0.1, 0.5]], "not Hermitian"),
+    ([[0.5, 0.0], [0.0, 0.5 + 1e-6j]], "not Hermitian"),
+    ([[0.2, 0.3], [0.3, 0.2]], "negative eigenvalue"),
+    ([[0.75, 0.1j], [-0.1j, 0.5]], r"trace 1\.25 outside"),
+])
+def test_detection_probs_checks_each_point(monkeypatch, matrix, message):
+    # the kernel re-checks the state it conjugates, not only the validated chain
+    stub = SimpleNamespace(matrix=np.array(matrix, dtype=np.complex128))
+    monkeypatch.setattr(bench, "_before_second_prism", lambda cfg, absorber: stub)
+    with pytest.raises(InternalConsistencyError, match=message):
+        detection_probs(BenchConfig(), NO_ABSORBER, np.linspace(0, 2 * math.pi, 9))
 
 
 def test_detection_prob_no_absorber_law():

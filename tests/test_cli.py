@@ -16,6 +16,7 @@ from qinterro.cli import (
     _csv_section,
     _fmt,
     _read_scan_csv,
+    build_parser,
     main,
     parse_angle,
     parse_angle_list,
@@ -310,6 +311,11 @@ def test_validation_exit_codes(tmp_path, capsys):
     for theta in ("nan", "inf", "pi/0"):
         assert run(["estimate", "--scan", scan, "--theta", theta, "--epsilon", 1]) == 3
     capsys.readouterr()
+    # a scan's standard error comes from its fit; a given one is refused, not dropped
+    assert run(["estimate", "--scan", scan, "--theta", "pi/4", "--epsilon", 1,
+                "--std-error", 5, "-o", tmp_path / "e.json"]) == 3
+    assert "the fit supplies the standard error" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
     # the reason reaches stderr rather than argparse's "invalid ... value"
     assert run(["estimate", "--scan", scan, "--theta", "nan", "--epsilon", 1]) == 3
     assert "angle must be finite, got nan" in capsys.readouterr().err
@@ -342,6 +348,40 @@ def test_validation_exit_codes(tmp_path, capsys):
                     "--std-error", std_error, "-o", tmp_path / "e.json"]) == 3
         assert "std_error must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon=0.5\nseed=7\nthetas=pi/4\n")
+    out = tmp_path / "out"
+    calls = [
+        ["fringes", "--mu", 0.4, "--thetas", "pi/4", "-o", out],
+        ["fringes", "--thetas", "pi/4", "-o", out],  # no absorber flag
+        ["fringes", "--config", cfg, "-o", out],
+        ["fringes", "-o", out],  # the config's values must not linger
+        ["fringes", "--no-such-flag", "-o", out],
+        ["fringes", "--thetas", "junk", "-o", out],
+        ["fringes", "--thetas", "0,pi/4", "--epsilon", 0.8, "-o", out],
+        ["sweep-mu", "--mu-grid", "0:1:3", "--format", "json", "-o", out],
+        ["sweep-mu", "--mu-grid", "0:1:3", "-o", out],  # CSV by default
+    ]
+
+    def outcome(args):
+        code = run(args)
+        std = capsys.readouterr()
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, std.out, std.err, data
+
+    build_parser.cache_clear()
+    parser = build_parser()
+    shared = [outcome(args) for args in calls]
+    assert build_parser() is parser
+    assert [code for code, *_ in shared] == [0, 0, 0, 0, 3, 3, 0, 0, 0]
+    for args, got in zip(calls, shared):
+        build_parser.cache_clear()
+        assert outcome(args) == got, args
+    assert build_parser() is build_parser()
 
 
 def test_values_that_start_with_a_minus(tmp_path, capsys):
