@@ -110,10 +110,10 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     phases = scan.phases
     y = scan.counts
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    if np.linalg.matrix_rank(x) < 3:
+    # rcond=None cuts singular values at eps max(M, N) sigma_max, as matrix_rank does
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < 3:
         raise DomainError("phase grid does not determine a fringe")
-
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     a, p, q = (float(v) for v in beta)
     b = math.hypot(p, q)
     residuals = y - x @ beta

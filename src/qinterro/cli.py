@@ -140,8 +140,8 @@ def _config_comment(pairs: dict) -> str:
 
 
 # A column whose cells all have one of these exact types skips _fmt's checks;
-# bool, numpy scalars, str and None are not among them.
-_PLAIN_FORMAT = {float: repr, int: str}
+# bool, numpy scalars and None are not among them.
+_PLAIN_FORMAT = {float: repr, int: str, str: str}
 
 
 def _format_column(cells: tuple) -> Iterator[str]:
@@ -227,7 +227,7 @@ def cmd_fringes(args) -> int:
             seed=(args.seed, k),
         )
         points.extend(zip(
-            [theta] * len(scan),
+            [repr(theta)] * len(scan),  # _fmt(theta), formatted once per theta
             scan.phases.tolist(),
             list(map(int, scan.counts.tolist())),
             scan.expected_probs.tolist(),
@@ -387,12 +387,22 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
 
 def cmd_estimate(args) -> int:
     report: dict = {"schema": "qinterro.estimate/1"}
-    std_error = args.std_error
-    if std_error is not None:
-        if args.scan is not None:
+    # a flag that would be dropped is refused, before any input is read
+    if args.scan is not None:
+        if args.std_error is not None:
             raise CliError(
                 "--std-error cannot be used with --scan: the fit supplies the standard error"
             )
+        if args.visibility is not None:
+            raise CliError(
+                "--visibility cannot be used with --scan: the fit supplies the visibility"
+            )
+    elif args.theta is not None:
+        raise CliError("--theta needs --scan: it selects the rows of one angle in a scan file")
+    if args.epsilon is not None and args.equal_arm_visibility is not None:
+        raise CliError("--equal-arm-visibility cannot be used with --epsilon: both set the purity")
+    std_error = args.std_error
+    if std_error is not None:
         # also keeps nan and inf, which JSON cannot carry, out of the report
         std_error = non_negative("std_error", std_error)
 

@@ -16,14 +16,15 @@ and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per call; derived_rng(seed, i) returns that stream. _draw_totals builds
-one Philox state dict per call and rewrites word 1 of its key in place before
-each point, so a point costs one state assignment and its draws. A point's
-count depends only on the seed, its index and its click probability, so
-identical inputs give bit-identical counts regardless of evaluation order. The
-first 0.1.0 builds drew every window from a SeedSequence((*seed, i))
-generator, so count columns differ from their 0.1.0 outputs for the same
-seed.
+once per call; derived_rng(seed, i) returns that stream. _draw_totals seeds
+one Philox per call from that SeedSequence (so no OS entropy is read) and
+rewrites word 1 of the key of one plain-int state dict before each point, so
+a point costs one state assignment and its draws, and every output byte is
+the same as with one derived_rng per point. A point's count depends only on
+the seed, its index and its click probability, so identical inputs give
+bit-identical counts regardless of evaluation order. The first 0.1.0 builds
+drew every window from a SeedSequence((*seed, i)) generator, so count
+columns differ from their 0.1.0 outputs for the same seed.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .exceptions import DomainError
 SeedLike = Union[int, Sequence[int]]
 
 
-def _seed_tuple(seed: SeedLike) -> tuple[int, ...]:
+def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     if isinstance(seed, (int, np.integer)):
         parts = (int(seed),)
     else:
@@ -56,21 +57,18 @@ def _seed_tuple(seed: SeedLike) -> tuple[int, ...]:
     for s in parts:
         if s < 0 or s >= 2**64:
             raise DomainError(f"seed entries must be unsigned 64-bit, got {s}")
-    return parts
+    return np.random.SeedSequence(parts)
 
 
-def _stream_key(seed: SeedLike) -> int:
-    return int(np.random.SeedSequence(_seed_tuple(seed)).generate_state(1, np.uint64)[0])
+def _stream_key(seq: np.random.SeedSequence) -> int:
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _philox_state(key: int, index: int) -> dict:
     return {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key, index], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": [key, index]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -82,7 +80,7 @@ def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
     index = int(index)
     if index < 0 or index >= 2**64:
         raise DomainError(f"stream index must be unsigned 64-bit, got {index}")
-    key = np.array([_stream_key(seed), index], dtype=np.uint64)
+    key = np.array([_stream_key(_seed_sequence(seed)), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -173,16 +171,18 @@ def _draw_totals(
     """Detections of each point summed over `windows` windows, as float64.
 
     Point i draws from the stream derived_rng(seed, i) returns: one variate
-    for the signal, then one for the background. One Philox is reused, and
-    one state dict is built per call: before each point, word 1 of its key
-    array is overwritten in place with the point index and the dict is
-    assigned, which resets the counter and buffer to those of a fresh (k, i)
-    stream.
+    for the signal, then one for the background. One Philox, seeded from the
+    scan's SeedSequence (no OS entropy), and one state dict of plain Python
+    ints (counter, key and buffer as lists) are built per call. Before each
+    point, word 1 of the key list is set to i and the dict is assigned, which
+    resets the counter and buffer to a fresh (k, i) stream. Totals are exact
+    int sums made float64 once, so every output byte is as with derived_rng.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
+    seq = _seed_sequence(seed)
+    rng = np.random.Generator(np.random.Philox(seq))
+    bitgen = rng.bit_generator
     if isinstance(source, HeraldedSource):
         trials = source.pairs_per_window * int(windows)
         signal, params = partial(rng.binomial, trials), probs
@@ -192,9 +192,9 @@ def _draw_totals(
     else:
         raise DomainError(f"unknown source model {source!r}")
     background = windows * source.background_rate
-    state = _philox_state(_stream_key(seed), 0)
+    state = _philox_state(_stream_key(seq), 0)
     key = state["state"]["key"]
-    totals = np.empty(len(params))
+    totals = []
     try:
         for i, x in enumerate(params):
             key[1] = i
@@ -202,13 +202,13 @@ def _draw_totals(
             total = int(signal(x))
             if background > 0.0:
                 total += int(rng.poisson(background))
-            totals[i] = float(total)
+            totals.append(total)
     except (OverflowError, ValueError):
         # numpy samples into int64: n >= 2**63 overflows, a mean near 9.2e18 is refused
         raise DomainError(
             f"a point's total over {windows} windows is too large to sample in int64"
         ) from None
-    return totals
+    return np.array(totals, dtype=float)
 
 
 def simulate_fringe_scan(

@@ -146,6 +146,11 @@ def test_fit_fringe_input_validation():
     same = np.full(8, 1.3)
     with pytest.raises(DomainError):
         fit_fringe(FringeScan(phases=same, counts=np.ones(8)))
+    # two distinct phases mod 2 pi leave the design matrix at rank 2
+    for pair in ([0.0, math.pi], [0.0, math.pi, 2 * math.pi], [0.3, 0.3 + math.pi]):
+        phases = np.resize(pair, 8)
+        with pytest.raises(DomainError, match="does not determine a fringe"):
+            fit_fringe(FringeScan(phases=phases, counts=np.arange(1.0, 9.0)))
     with pytest.raises(UndefinedVisibilityError):
         fit_fringe(FringeScan(phases=np.linspace(0, 6.2, 8), counts=np.zeros(8)))
 

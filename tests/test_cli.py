@@ -316,6 +316,17 @@ def test_validation_exit_codes(tmp_path, capsys):
                 "--std-error", 5, "-o", tmp_path / "e.json"]) == 3
     assert "the fit supplies the standard error" in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
+    # other flags that would be dropped without a word are refused the same way
+    for flags, reason in (
+        (["--scan", scan, "--theta", "pi/4", "--epsilon", 1, "--visibility", 0.3],
+         "--visibility cannot be used with --scan"),
+        (["--visibility", 0.5, "--epsilon", 1, "--equal-arm-visibility", 0.6],
+         "--equal-arm-visibility cannot be used with --epsilon"),
+        (["--visibility", 0.5, "--epsilon", 1, "--theta", "pi/4"], "--theta needs --scan"),
+    ):
+        assert run(["estimate", *flags, "-o", tmp_path / "e.json"]) == 3
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
     # the reason reaches stderr rather than argparse's "invalid ... value"
     assert run(["estimate", "--scan", scan, "--theta", "nan", "--epsilon", 1]) == 3
     assert "angle must be finite, got nan" in capsys.readouterr().err
@@ -475,6 +486,7 @@ def _tables(draw):
 @given(rows=_tables())
 @example(rows=[(0.25,) + (None,) * (len(_SUMMARY_COLUMNS) - 1)])  # opaque-theta summary
 @example(rows=[(1, True), (0, 2), (False, 3)])  # int and bool in one column
+@example(rows=[("0.5", 0.25, 3), ("x", -0.0, 0), ("", 1e300, -7)])  # str beside float and int
 @example(rows=[])
 def test_csv_section_matches_the_cell_by_cell_writer(rows):
     want = _reference_csv_section("s/1", ("a", "b"), rows, "# note: x")
