@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from ._validate import finite
-from .exceptions import CalibrationParseError, DomainError
+from .exceptions import CalibrationParseError, DomainError, NotUtf8Error
 
 _HEADER = ("position_mm", "transmittance")
 
@@ -50,39 +50,43 @@ def load_calibration(path: Union[str, os.PathLike]) -> CalibrationTable:
     positions: list[float] = []
     mus: list[float] = []
     header_seen = False
-    with open(path, newline="") as fh:
-        for line_number, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or not "".join(raw).strip():
-                continue
-            first = raw[0].strip()
-            if first.startswith("#"):
-                comment = ",".join(raw).lstrip("#").strip()
-                if comment.lower().startswith("wavelength"):
-                    _, _, value = comment.partition(":")
-                    if value.strip():
-                        label = value.strip()
-                continue
-            if not header_seen:
-                got = tuple(c.strip().lower() for c in raw)
-                if got != _HEADER:
-                    raise CalibrationParseError(
-                        f"expected header {','.join(_HEADER)}, got {','.join(raw)}",
-                        line_number,
-                    )
-                header_seen = True
-                continue
-            if len(raw) != 2:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(path, exc) from None
+    for line_number, raw in enumerate(rows, start=1):
+        if not raw or not "".join(raw).strip():
+            continue
+        first = raw[0].strip()
+        if first.startswith("#"):
+            comment = ",".join(raw).lstrip("#").strip()
+            if comment.lower().startswith("wavelength"):
+                _, _, value = comment.partition(":")
+                if value.strip():
+                    label = value.strip()
+            continue
+        if not header_seen:
+            got = tuple(c.strip().lower() for c in raw)
+            if got != _HEADER:
                 raise CalibrationParseError(
-                    f"expected 2 columns, got {len(raw)}", line_number
-                )
-            try:
-                positions.append(float(raw[0]))
-                mus.append(float(raw[1]))
-            except ValueError:
-                raise CalibrationParseError(
-                    f"could not parse row {','.join(raw)!r} as two numbers",
+                    f"expected header {','.join(_HEADER)}, got {','.join(raw)}",
                     line_number,
-                ) from None
+                )
+            header_seen = True
+            continue
+        if len(raw) != 2:
+            raise CalibrationParseError(
+                f"expected 2 columns, got {len(raw)}", line_number
+            )
+        try:
+            positions.append(float(raw[0]))
+            mus.append(float(raw[1]))
+        except ValueError:
+            raise CalibrationParseError(
+                f"could not parse row {','.join(raw)!r} as two numbers",
+                line_number,
+            ) from None
     if not header_seen:
         raise CalibrationParseError("missing header row", 1)
     return CalibrationTable(

@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,13 @@ from .analysis import (
 )
 from .bench import BenchConfig, NO_ABSORBER, OneArmAbsorber, TwoArmAbsorber, i_prob
 from .calibration import load_calibration, mu_at
-from .exceptions import DomainError, InfeasibleError, QInterroError, UndefinedVisibilityError
+from .exceptions import (
+    DomainError,
+    InfeasibleError,
+    NotUtf8Error,
+    QInterroError,
+    UndefinedVisibilityError,
+)
 from .noise import i_prob_jitter, i_prob_reflectivity
 from .schemes import compare_schemes
 from .sources import (
@@ -321,60 +327,192 @@ def _cells(line: str) -> list[str]:
     return [c.strip() for c in line.split(",")]
 
 
-def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
-    """Read the scan points of a bare scan, or of one theta of a fringes file.
+# The scan reader holds about this many bytes of a file at a time.
+_PIECE_BYTES = 1 << 20
 
-    One pass over the file. A data row is split once at its first comma; the
-    theta text before it goes through float() once per distinct text, and
-    only the rows of the selected theta have their phase and counts parsed.
-    Reading stops at the fringes summary header.
+
+def _universal_newlines(data: bytes) -> bytes:
+    if b"\r" not in data:  # a quick scan that spares the slower two-byte replace
+        return data
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _pieces(fh) -> Iterator[bytes]:
+    """A binary file as pieces of whole lines, about _PIECE_BYTES each.
+
+    Line ends are translated as universal newlines do: \\r\\n and a lone
+    \\r become \\n. A line longer than a piece is held whole.
     """
-    phases = []
-    counts = []
-    # theta text as written -> whether its rows are the selected theta
-    selected: dict[str, bool] = {}
-    per_theta: Optional[bool] = None
-    with open(path) as fh:
-        for raw in fh:
-            head, _, rest = raw.partition(",")
-            use = selected.get(head)
+    carry = b""
+    while chunk := fh.read(_PIECE_BYTES):
+        data = carry + chunk
+        # a \r that ends the data may be the first half of a \r\n
+        end = len(data) - data.endswith(b"\r")
+        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+        carry = data[cut:]
+        if cut:
+            yield _universal_newlines(data[:cut])
+    if carry:
+        yield _universal_newlines(carry)
+
+
+class _ScanReader:
+    """One pass over a scan file: its header, its theta texts and the rows used.
+
+    A run is a stretch of lines that start with one theta text and a comma.
+    A line whose theta text is not classified yet goes down the per-line
+    path (lines), which decodes it and parses its theta once. The run that
+    starts with a classified text is found in one regex search: another
+    angle's run is skipped without being decoded, and the selected angle's
+    run is parsed by column (rows). A run of one line means the angles are
+    interleaved, so the rest of that piece goes down the per-line path, as
+    does all of a bare file, which has no theta column.
+    """
+
+    def __init__(self, path: str, theta: Optional[float]):
+        self.path = path
+        self.theta = theta
+        self.per_theta: Optional[bool] = None
+        # theta text as written -> whether its rows are the selected theta
+        self.selected: dict[bytes, bool] = {}
+        self.phases: list[float] = []
+        self.counts: list[float] = []
+
+    def feed(self, piece: bytes) -> bool:
+        """Read a piece of whole lines; False once the summary header is reached."""
+        pos, size = 0, len(piece)
+        while pos < size and self.per_theta is not False:
+            eol = piece.find(b"\n", pos)
+            if eol < 0:
+                eol = size
+            comma = piece.find(b",", pos, eol)
+            head = piece[pos:comma] if comma >= 0 else None
+            use = self.selected.get(head)
+            if use is None:
+                if not self.lines((piece[pos:eol],)):
+                    return False
+                pos = eol + 1
+                continue
+            # the first newline not followed by this theta text and a comma
+            # (re caches the compiled pattern)
+            found = re.compile(b"\n(?!" + re.escape(head) + b",)").search(piece, pos)
+            end = found.start() if found else size
+            if use:
+                self.rows(piece[pos:end])
+            pos = end + 1
+            if end == eol:
+                break
+        return self.lines(piece[pos:].split(b"\n"))
+
+    def rows(self, run: bytes) -> None:
+        """Append the phase and counts cells of a run of selected rows.
+
+        The run is split once at its commas. Every row starts with the theta
+        text and a comma, so when there are c * rows + 1 cells and no newline
+        lies outside the cells of columns 0 mod c, each row has exactly c
+        commas, and with c >= 3 the phases and counts are cells[1::c] and
+        cells[2::c]. Uneven rows, or a cell that does not parse, go down the
+        per-line path, which reports the first bad row.
+        """
+        cells = run.split(b",")
+        rows = run.count(b"\n") + 1
+        c, extra = divmod(len(cells) - 1, rows)
+        if not extra and c >= 3 and b"".join(cells[::c]).count(b"\n") == rows - 1:
+            try:
+                phases = list(map(float, cells[1::c]))
+                counts = list(map(float, cells[2::c]))
+            except ValueError:
+                pass
+            else:
+                self.phases += phases
+                self.counts += counts
+                return
+        self.lines(run.split(b"\n"))
+
+    def lines(self, lines: Iterable[bytes]) -> bool:
+        """The per-line path; False once the summary header is reached."""
+        selected, phases, counts = self.selected, self.phases, self.counts
+        for raw in lines:
+            use = selected.get(raw.partition(b",")[0]) if selected else None
             if use is False:
                 continue
+            if use:
+                try:
+                    phase, count = raw.split(b",", 3)[1:3]
+                    phase, count = float(phase), float(count)
+                except ValueError:
+                    pass  # parsed again below as text, which reports a bad row
+                else:
+                    phases.append(phase)
+                    counts.append(count)
+                    continue
+            try:
+                text = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise NotUtf8Error(self.path, exc) from None
             if use is None:
                 # a blank, comment, header or bare row, or a theta text not seen yet
-                line = raw.strip()
+                line = text.strip()
                 if not line or line.startswith("#"):
                     continue
-                if per_theta is None:
-                    cells = _cells(line)
-                    header = tuple(c.lower() for c in cells)
-                    per_theta = header[:3] == _THETA_HEADER
-                    if not per_theta and header[:2] != _BARE_HEADER:
-                        raise CliError(
-                            f"unrecognized scan header {','.join(cells)!r}; expected "
-                            f"{','.join(_BARE_HEADER)}[,...] or {','.join(_THETA_HEADER)}[,...]"
-                        )
-                    if per_theta and theta is None:
-                        raise CliError("scan file has per-theta rows; select one with --theta")
+                if self.per_theta is None:
+                    self.header(line)
                     continue
-                if not per_theta:
-                    rest = raw
             try:
-                if use is None and per_theta:
-                    # negated so that a nan theta in the file matches nothing
-                    use = selected[head] = abs(float(head) - theta) <= _THETA_MATCH
-                    if not use:
-                        continue
+                if not self.per_theta:
+                    rest = text
+                else:
+                    theta_text, _, rest = text.partition(",")
+                    if use is None:
+                        # negated so that a nan theta in the file matches nothing
+                        use = abs(float(theta_text) - self.theta) <= _THETA_MATCH
+                        selected[raw.partition(b",")[0]] = use
+                        if not use:
+                            continue
                 phase, count = rest.split(",", 2)[:2]
                 phases.append(float(phase))
                 counts.append(float(count))
             except ValueError:
-                line = raw.strip()
+                line = text.strip()
                 if tuple(c.lower() for c in _cells(line)) == _SUMMARY_COLUMNS:
-                    break
+                    return False
                 raise CliError(f"could not parse scan row {line!r}") from None
+        return True
+
+    def header(self, line: str) -> None:
+        cells = _cells(line)
+        header = tuple(c.lower() for c in cells)
+        self.per_theta = header[:3] == _THETA_HEADER
+        if not self.per_theta and header[:2] != _BARE_HEADER:
+            raise CliError(
+                f"unrecognized scan header {','.join(cells)!r}; expected "
+                f"{','.join(_BARE_HEADER)}[,...] or {','.join(_THETA_HEADER)}[,...]"
+            )
+        if self.per_theta and self.theta is None:
+            raise CliError("scan file has per-theta rows; select one with --theta")
+        if not self.per_theta and self.theta is not None:
+            raise CliError(
+                f"--theta cannot be used with a bare scan: {self.path} has no theta_rad column"
+            )
+
+
+def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
+    """Read the scan points of a bare scan, or of one theta of a fringes file.
+
+    One pass over the file's bytes, a piece of whole lines at a time, as
+    _ScanReader describes. Each distinct theta text goes through float()
+    once; only the selected theta's phase and counts cells are parsed, and
+    other angles' runs of rows are never decoded. Reading stops at the
+    fringes summary header.
+    """
+    reader = _ScanReader(path, theta)
+    with open(path, "rb") as fh:
+        for piece in _pieces(fh):
+            if not reader.feed(piece):
+                break
+    phases, counts, selected = reader.phases, reader.counts, reader.selected
     if not phases and selected:
-        found = list(dict.fromkeys(text.strip() for text in selected))
+        found = list(dict.fromkeys(text.decode().strip() for text in selected))
         listed = ", ".join(found[:8]) + (f", ... ({len(found)} in all)" if len(found) > 8 else "")
         raise CliError(
             f"no scan points with theta_rad within {_THETA_MATCH:g} of {theta!r} in {path}; "
@@ -576,19 +714,23 @@ def build_parser() -> _Parser:
 
 
 def _load_config_flags(path: str) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(path, exc) from None
     flags = []
-    with open(path) as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise CliError(
-                    f"{path}:{line_number}: expected key=value, got {line!r}"
-                )
-            key = key.strip().replace("_", "-")
-            flags.append(f"--{key}={value.strip()}")
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise CliError(
+                f"{path}:{line_number}: expected key=value, got {line!r}"
+            )
+        key = key.strip().replace("_", "-")
+        flags.append(f"--{key}={value.strip()}")
     return flags
 
 

@@ -27,3 +27,11 @@ class CalibrationParseError(DomainError):
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class NotUtf8Error(DomainError):
+    """An input file is not UTF-8 text."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        bad = exc.object[exc.start]
+        super().__init__(f"{path} is not UTF-8 text: {exc.reason}, byte {bad:#04x}")

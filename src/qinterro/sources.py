@@ -16,9 +16,10 @@ and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per call; derived_rng(seed, i) returns that stream. _draw_totals seeds
-one Philox per call from that SeedSequence (so no OS entropy is read) and
-rewrites word 1 of the key of one plain-int state dict before each point, so
+once per call; derived_rng(seed, i) returns that stream. Neither it nor
+_draw_totals reads OS entropy: each seeds its Philox from that SeedSequence
+and then assigns a plain-int (k, i) state. _draw_totals builds one Philox per
+call and rewrites word 1 of the key of one state dict before each point, so
 a point costs one state assignment and its draws, and every output byte is
 the same as with one derived_rng per point. A point's count depends only on
 the seed, its index and its click probability, so identical inputs give
@@ -76,12 +77,19 @@ def _philox_state(key: int, index: int) -> dict:
 
 
 def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
-    """Generator of point `index` of the given base seed: Philox keyed (k, index)."""
+    """Generator of point `index` of the given base seed: Philox keyed (k, index).
+
+    The Philox is seeded from the seed's own SeedSequence, as _draw_totals
+    does, and its state then set to the (k, index) stream: Philox(key=...)
+    would read OS entropy for a seed sequence that the key then discards.
+    """
     index = int(index)
     if index < 0 or index >= 2**64:
         raise DomainError(f"stream index must be unsigned 64-bit, got {index}")
-    key = np.array([_stream_key(_seed_sequence(seed)), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = _seed_sequence(seed)
+    bitgen = np.random.Philox(seq)
+    bitgen.state = _philox_state(_stream_key(seq), index)
+    return np.random.Generator(bitgen)
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,23 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["compare", "--n-values", "2,x", "-o", tmp_path / "x.csv"]) == 3
     assert run(["compare", "--mu-values", "0,half", "-o", tmp_path / "x.csv"]) == 3
 
+    # input that is not UTF-8 is named and refused, not a UnicodeDecodeError traceback
+    capsys.readouterr()
+    latin, q = tmp_path / "latin1.txt", repr(math.pi / 4)
+    for text, argv in (
+        (f"theta_rad,phase_rad,counts\n{q},1.0,2,0\n{q},\xff,2,0\n",
+         ["estimate", "--scan", latin, "--theta", "pi/4", "--epsilon", 1, "-o", tmp_path / "e.json"]),
+        ("position_mm,transmittance\n0,1\n12,0\n# \xb5m\n",
+         ["sweep-mu", "--calibration", latin, "--positions", "0:1:3", "-o", tmp_path / "e.json"]),
+        ("epsilon=0.5\n# \xe9\n", ["compare", "--config", latin, "-o", tmp_path / "e.json"]),
+    ):
+        latin.write_bytes(text.encode("latin-1"))
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin} is not UTF-8 text: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.json").exists()
+
     # totals beyond numpy's int64 sampler
     assert run(["sweep-mu", "--mu-grid", "0:1:2", "--source", "coherent", "--nbar", 1e18,
                 "--windows", 100, "-o", tmp_path / "x.csv"]) == 3

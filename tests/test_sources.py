@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,31 @@ def test_determinism_bit_identical():
     r1 = _draw_totals(src, [0.37, 0.5], 10, seed=5)
     r2 = _draw_totals(src, [0.37, 0.5], 10, seed=5)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), ((2**32, 99), 2**64 - 1), (2**64 - 1, 12)])
+def test_derived_rng_is_the_philox_stream_keyed_k_i(seed, index):
+    # an independent reference: numpy's Philox built from the key (k, i),
+    # with k = SeedSequence(seed).generate_state(1, uint64)
+    k = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    want = np.random.Generator(np.random.Philox(key=np.array([k, index], dtype=np.uint64)))
+    got = derived_rng(seed, index)
+    assert got.integers(0, 2**63, 8).tolist() == want.integers(0, 2**63, 8).tolist()
+    assert got.binomial(10**9, 0.3) == want.binomial(10**9, 0.3)
+    assert got.poisson(1e6) == want.poisson(1e6)
+
+
+def test_seeding_reads_no_os_entropy(monkeypatch):
+    # numpy's SeedSequence(None) draws its entropy through this function
+    reads = []
+    real = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits", lambda bits: reads.append(bits) or real(bits))
+    np.random.Philox()
+    assert len(reads) == 1  # the spy sees an unseeded construction
+    reads.clear()
+    derived_rng(7, 3).random()
+    _draw_totals(HeraldedSource(10, background_rate=1.0), [0.5] * 3, 2, seed=7)
+    assert reads == []
 
 
 @pytest.mark.parametrize("src", [HeraldedSource(300), CoherentSource(300.0)])
