@@ -66,22 +66,20 @@ class BenchConfig:
     contrast_envelope multiplies the interference (off-diagonal) term of the
     final state: 1 means the two paths stay within the coherence length and
     interfere fully, 0 means the fringe is completely washed out. The wave
-    plate angles default to the standard bench (pi/8 then pi/4) and the
-    closed-form detection expressions below assume those defaults.
+    plates are fixed at the standard bench's pi/8 then pi/4, which the
+    closed-form detection expressions below assume.
     """
 
     epsilon: float = 1.0
     phi1: float = 0.0
     phi2: float = 0.0
     theta_post: float = _QUARTER_PI
-    hwp1_angle: float = _EIGHTH_PI
-    hwp2_angle: float = _QUARTER_PI
     contrast_envelope: float = 1.0
 
     def __post_init__(self):
         unit_interval("epsilon", self.epsilon)
         unit_interval("contrast_envelope", self.contrast_envelope)
-        for name in ("phi1", "phi2", "theta_post", "hwp1_angle", "hwp2_angle"):
+        for name in ("phi1", "phi2", "theta_post"):
             finite(name, getattr(self, name))
 
     @property
@@ -107,10 +105,10 @@ def _absorber_operator(spec: AbsorberSpec) -> jones.Operator:
 def _before_second_prism(cfg: BenchConfig, absorber: AbsorberSpec) -> jones.DensityMatrix:
     """The state after the second half-wave plate, through the validated chain."""
     rho = jones.initial_state(cfg.epsilon)
-    rho = jones.apply_operator(jones.half_wave_plate(cfg.hwp1_angle), rho)
+    rho = jones.apply_operator(jones.half_wave_plate(_EIGHTH_PI), rho)
     rho = jones.apply_operator(jones.relative_phase(cfg.phi1), rho)
     rho = jones.apply_operator(_absorber_operator(absorber), rho)
-    return jones.apply_operator(jones.half_wave_plate(cfg.hwp2_angle), rho)
+    return jones.apply_operator(jones.half_wave_plate(_QUARTER_PI), rho)
 
 
 def evolve_bench(

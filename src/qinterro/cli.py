@@ -327,7 +327,7 @@ def _cells(line: str) -> list[str]:
     return [c.strip() for c in line.split(",")]
 
 
-# The scan reader holds about this many bytes of a file at a time.
+# The scan reader holds about this many bytes of a file at a time, plus one line.
 _PIECE_BYTES = 1 << 20
 
 
@@ -335,25 +335,6 @@ def _universal_newlines(data: bytes) -> bytes:
     if b"\r" not in data:  # a quick scan that spares the slower two-byte replace
         return data
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
-def _pieces(fh) -> Iterator[bytes]:
-    """A binary file as pieces of whole lines, about _PIECE_BYTES each.
-
-    Line ends are translated as universal newlines do: \\r\\n and a lone
-    \\r become \\n. A line longer than a piece is held whole.
-    """
-    carry = b""
-    while chunk := fh.read(_PIECE_BYTES):
-        data = carry + chunk
-        # a \r that ends the data may be the first half of a \r\n
-        end = len(data) - data.endswith(b"\r")
-        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
-        carry = data[cut:]
-        if cut:
-            yield _universal_newlines(data[:cut])
-    if carry:
-        yield _universal_newlines(carry)
 
 
 class _ScanReader:
@@ -500,15 +481,16 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
     """Read the scan points of a bare scan, or of one theta of a fringes file.
 
     One pass over the file's bytes, a piece of whole lines at a time, as
-    _ScanReader describes. Each distinct theta text goes through float()
-    once; only the selected theta's phase and counts cells are parsed, and
-    other angles' runs of rows are never decoded. Reading stops at the
-    fringes summary header.
+    _ScanReader describes. readline ends each piece at the next \\n, so a
+    file whose lines end in a lone \\r is read as one piece. Each distinct
+    theta text goes through float() once; only the selected theta's phase
+    and counts cells are parsed, and other angles' runs of rows are never
+    decoded. Reading stops at the fringes summary header.
     """
     reader = _ScanReader(path, theta)
     with open(path, "rb") as fh:
-        for piece in _pieces(fh):
-            if not reader.feed(piece):
+        while piece := fh.read(_PIECE_BYTES):
+            if not reader.feed(_universal_newlines(piece + fh.readline())):
                 break
     phases, counts, selected = reader.phases, reader.counts, reader.selected
     if not phases and selected:
@@ -520,7 +502,10 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
         )
     if not phases:
         raise CliError(f"no scan points found in {path}")
-    return FringeScan(phases=np.array(phases), counts=np.array(counts))
+    try:
+        return FringeScan(phases=np.array(phases), counts=np.array(counts))
+    except DomainError as exc:  # a non-finite phase, or a non-finite or negative count
+        raise CliError(f"{exc} in {path}") from None
 
 
 def cmd_estimate(args) -> int:

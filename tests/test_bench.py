@@ -92,7 +92,7 @@ _UNIT = st.floats(0.0, 1.0)
 @given(
     cfg=st.builds(
         BenchConfig, epsilon=_UNIT, phi1=_ANGLES, phi2=_ANGLES, theta_post=_ANGLES,
-        hwp1_angle=_ANGLES, hwp2_angle=_ANGLES, contrast_envelope=_UNIT,
+        contrast_envelope=_UNIT,
     ),
     absorber=st.one_of(
         st.just(NO_ABSORBER),

@@ -84,6 +84,10 @@ def test_scan_reader_selects_rows(tmp_path, text, theta, want, newline):
     # a bare file has no theta to select, so --theta is refused rather than ignored
     ("phase_rad,counts,extra\n0.0,10,x\n1.5,4,y\n", "pi/4",
      "--theta cannot be used with a bare scan: "),
+    # a used row that parses but that FringeScan refuses
+    (f"{HEADER}\n{Q},nan,3,0\n", "pi/4", "phases must be finite in "),
+    (f"{HEADER}\n{Q},1.0,1e400,0\n", "pi/4", "counts must be finite and non-negative in "),
+    ("phase_rad,counts\n1.0,-1\n", None, "counts must be finite and non-negative in "),
 ])
 def test_scan_reader_errors(tmp_path, capsys, text, theta, message):
     path = write(tmp_path, text)
@@ -157,11 +161,42 @@ def test_scan_reader_parses_each_theta_text_once(tmp_path, monkeypatch):
     assert len(seen) == 4 + 2 * 5
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_scan_reader_holds_a_piece_and_one_line_at_most(tmp_path, monkeypatch, newline):
+    # A file of lone-\r line ends has no \n to end a piece at, so it is read
+    # as one piece; only \n and \r\n files are bounded by the piece size.
+    piece_bytes = 4096
+    rows = [(t, 0.001 * k, k, 0.25) for t in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
+            for k in range(2001)]
+    text = _csv_section("qinterro.fringes/1", _FRINGES_COLUMNS, rows, "# config: x=1")
+    text += _csv_section("qinterro.fringes.summary/1", _SUMMARY_COLUMNS,
+                         [(math.pi / 4, 0.5, 0.1, 1.0, 0.0, 0.5, 0.5, 0.0, False)])
+    path = write(tmp_path, text, newline)
+    longest = max(map(len, path.read_bytes().splitlines(keepends=True)))
+    pieces = []
+    feed = cli._ScanReader.feed
+
+    def spy(reader, piece):
+        pieces.append(piece)
+        return feed(reader, piece)
+
+    monkeypatch.setattr(cli._ScanReader, "feed", spy)
+    monkeypatch.setattr(cli, "_PIECE_BYTES", piece_bytes)
+    for theta in (0.0, math.pi / 4):
+        pieces.clear()
+        scan = _read_scan_csv(str(path), theta)
+        assert scan.counts.tolist() == [float(k) for k in range(2001)]
+        assert len(pieces) > 10
+        assert all(piece.endswith(b"\n") for piece in pieces)
+        assert max(map(len, pieces)) <= piece_bytes + longest
+
+
 def _reference_read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
     """The per-line reader that _read_scan_csv replaced, kept as its reference.
 
-    It reads decoded text line by line; the only change is the explicit
-    UTF-8 encoding, which the reader under test assumes.
+    It reads decoded text line by line. It differs only in the explicit
+    UTF-8 encoding, which the reader under test assumes, and in naming the
+    file when FringeScan refuses a phase or a count, as the reader does.
     """
     phases = []
     counts = []
@@ -213,13 +248,16 @@ def _reference_read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
         )
     if not phases:
         raise CliError(f"no scan points found in {path}")
-    return FringeScan(phases=np.array(phases), counts=np.array(counts))
+    try:
+        return FringeScan(phases=np.array(phases), counts=np.array(counts))
+    except DomainError as exc:
+        raise CliError(f"{exc} in {path}") from None
 
 
 def _outcome(read, path, theta):
     try:
         scan = read(path, theta)
-    except DomainError as exc:  # a CliError, or FringeScan refusing nan or inf
+    except CliError as exc:
         return f"{type(exc).__name__}: {exc}"
     # repr tells nan from nan and -0.0 from 0.0
     return repr((scan.phases.tolist(), scan.counts.tolist()))
