@@ -97,9 +97,9 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     """Least-squares sinusoid fit of a fringe scan.
 
     Fits counts ~ a + b cos(phase - phase0) as a linear model in
-    (a, b cos phase0, b sin phase0). Parameter errors are propagated from
-    Poisson count variances sigma_k^2 = counts_k through the unweighted
-    least-squares covariance, and sigma_V follows from V = b/a.
+    (a, b cos phase0, b sin phase0). One SVD of the design matrix gives the
+    rank check, the parameters and their unweighted least-squares covariance,
+    propagated from Poisson variances sigma_k^2 = counts_k; sigma_V from V = b/a.
 
     If the rms residual exceeds _FALLBACK_RESIDUAL_SIGMAS Poisson sigmas of
     the mean count level, or the fitted offset or amplitude is unusable, the
@@ -110,14 +110,15 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     phases = scan.phases
     y = scan.counts
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    # rcond=None cuts singular values at eps max(M, N) sigma_max, as matrix_rank does
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 3:
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    # the rank cutoff of lstsq and matrix_rank: eps max(M, N) sigma_max
+    if s[-1] <= np.finfo(float).eps * len(y) * s[0]:
         raise DomainError("phase grid does not determine a fringe")
+    pinv = vt.T @ ((1.0 / s)[:, None] * u.T)  # the product numpy's pinv forms
+    beta = pinv @ y
     a, p, q = (float(v) for v in beta)
     b = math.hypot(p, q)
-    residuals = y - x @ beta
-    rms = math.sqrt(float(np.mean(residuals**2)))
+    rms = math.sqrt(float(np.mean((y - x @ beta) ** 2)))
     threshold = _FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0)
 
     if rms > threshold or a <= 0.0 or b > a * (1.0 + 1e-9):
@@ -127,7 +128,6 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
 
     # Covariance of beta for the unweighted estimator with heteroscedastic
     # Poisson noise: (X^T X)^-1 X^T diag(sigma^2) X (X^T X)^-1.
-    pinv = np.linalg.pinv(x)
     cov = pinv @ (pinv * np.maximum(y, 0.0)).T
     var_a = float(cov[0, 0])
     if b > 0.0:

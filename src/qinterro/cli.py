@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -342,7 +343,8 @@ class _ScanReader:
 
     A run is a stretch of lines that start with one theta text and a comma.
     A line whose theta text is not classified yet goes down the per-line
-    path (lines), which decodes it and parses its theta once. The run that
+    path (lines), which decodes it and parses its theta once. That path
+    parses each selected row once, from its decoded text. The run that
     starts with a classified text is found in one regex search: another
     angle's run is skipped without being decoded, and the selected angle's
     run is parsed by column (rows). A run of one line means the angles are
@@ -417,16 +419,6 @@ class _ScanReader:
             use = selected.get(raw.partition(b",")[0]) if selected else None
             if use is False:
                 continue
-            if use:
-                try:
-                    phase, count = raw.split(b",", 3)[1:3]
-                    phase, count = float(phase), float(count)
-                except ValueError:
-                    pass  # parsed again below as text, which reports a bad row
-                else:
-                    phases.append(phase)
-                    counts.append(count)
-                    continue
             try:
                 text = raw.decode()
             except UnicodeDecodeError as exc:
@@ -440,9 +432,8 @@ class _ScanReader:
                     self.header(line)
                     continue
             try:
-                if not self.per_theta:
-                    rest = text
-                else:
+                rest = text
+                if self.per_theta:
                     theta_text, _, rest = text.partition(",")
                     if use is None:
                         # negated so that a nan theta in the file matches nothing
@@ -745,7 +736,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv = _inject_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():  # resets the registry: each call warns once
+            return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

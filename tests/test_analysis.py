@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qinterro.bench import (
 from qinterro.exceptions import (
     DomainError,
     InfeasibleError,
+    QInterroError,
     UndefinedVisibilityError,
 )
 from qinterro.sources import FringeScan, HeraldedSource, simulate_fringe_scan
@@ -153,6 +155,84 @@ def test_fit_fringe_input_validation():
             fit_fringe(FringeScan(phases=phases, counts=np.arange(1.0, 9.0)))
     with pytest.raises(UndefinedVisibilityError):
         fit_fringe(FringeScan(phases=np.linspace(0, 6.2, 8), counts=np.zeros(8)))
+
+
+def _reference_fit(phases, y):
+    """The fit that fit_fringe's single SVD replaced: lstsq, then pinv.
+
+    Returns None where it falls back to the raw extrema, else
+    (visibility, std_error, offset, amplitude, phase).
+    """
+    x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < 3:
+        raise DomainError("phase grid does not determine a fringe")
+    a, p, q = (float(v) for v in beta)
+    b = math.hypot(p, q)
+    rms = math.sqrt(float(np.mean((y - x @ beta) ** 2)))
+    if rms > 5.0 * math.sqrt(float(np.mean(y)) + 1.0) or a <= 0.0 or b > a * (1.0 + 1e-9):
+        return None
+    b = min(b, a)
+    pinv = np.linalg.pinv(x)
+    cov = pinv @ (pinv * np.maximum(y, 0.0)).T
+    if b > 0.0:
+        jac = np.array([p / b, q / b])
+        var_b = float(jac @ cov[1:, 1:] @ jac)
+    else:
+        var_b = 0.5 * float(cov[1, 1] + cov[2, 2])
+    std_error = math.sqrt(max(var_b, 0.0) / a**2 + (b * math.sqrt(max(cov[0, 0], 0.0)) / a**2) ** 2)
+    return b / a, std_error, a, b, math.atan2(q, p)
+
+
+def _outcome(fit, scan):
+    try:
+        return fit(scan)
+    except QInterroError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 2001),
+    grid=st.sampled_from(["uniform", "random", "rank 2"]),
+    mean=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    visibility=st.floats(0.0, 1.0),
+    phase0=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_fringe_matches_the_lstsq_reference(n, grid, mean, visibility, phase0, seed):
+    rng = np.random.default_rng(seed)
+    if grid == "uniform":
+        phases = np.linspace(0.0, 2 * math.pi, n)
+    elif grid == "random":
+        phases = rng.uniform(-10.0, 10.0, n)
+    else:
+        phases = np.resize([0.3, 0.3 + math.pi], n)
+    counts = rng.poisson(mean * (1.0 + visibility * np.cos(phases - phase0))).astype(float)
+    scan = FringeScan(phases=phases, counts=counts)
+    # one factorization per fit: one SVD, and neither lstsq nor pinv
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq, \
+            mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+        got = _outcome(fit_fringe, scan)
+    assert (svd.call_count, lstsq.call_count, pinv.call_count) == (1, 0, 0)
+
+    want = _outcome(lambda scan: _reference_fit(scan.phases, scan.counts), scan)
+    if isinstance(want, str):  # the rank check refuses both
+        assert got == want == "DomainError: phase grid does not determine a fringe"
+    elif want is None:  # both fall back to the extrema, which are undefined at zero counts
+        assert got == "UndefinedVisibilityError: all counts are zero" or got.used_fallback
+    else:
+        v, std_error, a, b, phase = want
+        assert not got.used_fallback
+        assert got.visibility == pytest.approx(v, rel=1e-9, abs=1e-9)
+        assert got.fit_offset == pytest.approx(a, rel=1e-9)
+        assert got.fit_amplitude == pytest.approx(b, rel=1e-9, abs=1e-9 * a)
+        # a phase error moves the fringe by amplitude x angle, held within 1e-9 of the offset
+        turn = math.remainder(got.fit_phase - phase, 2 * math.pi)
+        assert abs(turn) * b <= 1e-9 * a
+        if b > 1e-3 * a:  # below that the fringe's direction is mostly rounding
+            assert got.std_error == pytest.approx(std_error, rel=1e-9)
 
 
 def test_visibility_laws_examples():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,19 @@ def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("UserWarning") == 1, done.stderr
+
+
+def test_each_main_call_warns_once_for_large_jitter(tmp_path):
+    # Python's default filter shows a warning once per code location and
+    # process; each main() call still shows its own dphi2 warning once
+    argv = ["sweep-mu", "--mu-grid", "0:1:3", "--dphi2", 0.3, "-o", tmp_path / "sweep.csv"]
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        for calls in (1, 2):
+            assert run(argv) == 0
+            assert len(shown) == calls
+            assert all(str(w.message).startswith("dphi2 = 0.3 exceeds") for w in shown)
 
 
 def test_sweep_mu_names_negative_jitter_values(tmp_path, capsys):

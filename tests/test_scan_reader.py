@@ -323,6 +323,13 @@ def _fringes_example(*runs, newline="\n", piece_bytes=1 << 20):
 @_fringes_example(["0.78539,1,2,0", "0.78539,1,2,0"], [f"{Q},1,2,0", f"{Q},3,4,0"])
 # a \r\n split across two pieces
 @_fringes_example([f"{Q},1,2,0", f"{Q},3,4,0"], newline="\r\n", piece_bytes=1)
+# interleaved angles, whose selected rows go down the per-line path: cells
+# that only a text parse reads (Arabic-Indic digits, no-break space padding)
+@_fringes_example([f"{Q},\u0661.5,\u0662,0"], ["0.0,1,2,0"], [f"{Q},\xa03\xa0,\xa04,0"],
+                  ["0.1,x,y"], [f"{Q},5,\u0666\u0667"])
+# and a cell that a text parse refuses too: digits split by a no-break space
+@_fringes_example([f"{Q},\u0661,\u0662,0"], ["0.0,1,2,0"], [f"{Q},\u0661\xa0\u0662,3,0"],
+                  ["0.0,1,2,0"])
 @given(
     preamble=st.lists(st.sampled_from(["", "# schema=qinterro.fringes/1", "  "]), max_size=2),
     header=_header,
