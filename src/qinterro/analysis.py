@@ -93,6 +93,7 @@ def _extrema_result(scan: FringeScan) -> VisibilityResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge counts end in ArithmeticError instead
 def fit_fringe(scan: FringeScan) -> VisibilityResult:
     """Least-squares sinusoid fit of a fringe scan.
 

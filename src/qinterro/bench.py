@@ -102,27 +102,31 @@ def _absorber_operator(spec: AbsorberSpec) -> jones.Operator:
     raise DomainError(f"unknown absorber spec {spec!r}")
 
 
-def _before_second_prism(cfg: BenchConfig, absorber: AbsorberSpec) -> jones.DensityMatrix:
-    """The state after the second half-wave plate, through the validated chain."""
-    rho = jones.initial_state(cfg.epsilon)
-    rho = jones.apply_operator(jones.half_wave_plate(_EIGHTH_PI), rho)
-    rho = jones.apply_operator(jones.relative_phase(cfg.phi1), rho)
-    rho = jones.apply_operator(_absorber_operator(absorber), rho)
-    return jones.apply_operator(jones.half_wave_plate(_QUARTER_PI), rho)
+def _before_second_prism(cfg: BenchConfig, absorber: AbsorberSpec) -> np.ndarray:
+    """The state after the second half-wave plate: evolve_bench's chain in closed form.
+
+    [[|b|^2/2, r], [r*, |a|^2/2]] with r = eps b a* e^{i phi1}/2, for the path
+    amplitudes a (H) and b (V) on the diagonal of the absorber's operator.
+    """
+    a, b = np.diagonal(_absorber_operator(absorber).matrix)
+    r = cfg.epsilon * b * a.conjugate() * np.exp(1j * cfg.phi1) / 2
+    return np.array([[abs(b) ** 2 / 2, r], [r.conjugate(), abs(a) ** 2 / 2]])
 
 
-def evolve_bench(
-    cfg: BenchConfig, absorber: AbsorberSpec = NO_ABSORBER
-) -> jones.DensityMatrix:
+def evolve_bench(cfg: BenchConfig, absorber: AbsorberSpec = NO_ABSORBER) -> jones.DensityMatrix:
     """Propagate the pre-selected state through the bench elements in order.
 
     Returns the (generally sub-normalized) state arriving at the post-selection
     polarizer. The second prism pair recombines the physically displaced paths;
     because the intervening half-wave plate swapped which polarization occupies
     the delayed path, its relative phase enters the polarization basis with the
-    opposite sign to the first one.
+    opposite sign to the first one. Each step is validated: this is the reference.
     """
-    rho = _before_second_prism(cfg, absorber)
+    rho = jones.initial_state(cfg.epsilon)
+    rho = jones.apply_operator(jones.half_wave_plate(_EIGHTH_PI), rho)
+    rho = jones.apply_operator(jones.relative_phase(cfg.phi1), rho)
+    rho = jones.apply_operator(_absorber_operator(absorber), rho)
+    rho = jones.apply_operator(jones.half_wave_plate(_QUARTER_PI), rho)
     rho = jones.apply_operator(jones.relative_phase(-cfg.phi2), rho)
 
     gamma = cfg.contrast_envelope
@@ -134,46 +138,36 @@ def evolve_bench(
     return rho
 
 
-def detection_probs(
-    cfg: BenchConfig, absorber: AbsorberSpec, phi2
-) -> np.ndarray:
+def detection_probs(cfg: BenchConfig, absorber: AbsorberSpec, phi2) -> np.ndarray:
     """Click probabilities for a batch of second-prism phases.
 
     Element k equals detection_prob(replace(cfg, phi2=phi2[k]), absorber);
-    cfg.phi2 itself is not used. The elements up to the second half-wave
-    plate are built once through the validated jones constructors, giving a
-    state [[h, r01], [r10, v]]. The second prism, relative_phase(-phi2),
-    keeps h and v and turns the off-diagonal into s01 = r01 e^{i phi2} and
-    s10 = r10 e^{-i phi2}; the contrast envelope gamma scales both, and the
-    polarizer P gives p = Re(P00 h + P11 v + gamma (P01 s10 + P10 s01)).
-    All of it runs on length-N vectors. The state invariants (Hermitian,
-    lowest eigenvalue, trace in [0, 1]) and the [0, 1] range of p are
-    checked for every point, to the tolerance of the validated chain.
+    cfg.phi2 itself is not used. From the state [[h, r01], [r10, v]] of
+    _before_second_prism, the second prism turns the off-diagonal into
+    s01 = r01 e^{i phi2} and s10 = r10 e^{-i phi2}, gamma scales both, and
+    the polarizer at theta gives p = c^2 h + s^2 v + gamma c s Re(s01 + s10),
+    with c, s = cos theta, sin theta, on length-N vectors. The state
+    invariants and p in [0, 1] are checked for every point, to the tolerance
+    of the validated chain.
     """
     phi2 = np.asarray(phi2, dtype=float)
     if phi2.ndim != 1:
         raise DomainError("phi2 must be a 1-d array")
     if not np.isfinite(phi2).all():
         raise DomainError(f"phi2 must be finite, got {phi2[~np.isfinite(phi2)][0]}")
-    rho = _before_second_prism(cfg, absorber).matrix
+    rho = _before_second_prism(cfg, absorber)
     h, v = rho[0, 0], rho[1, 1]
     phase = np.exp(1j * phi2)
     # Operand order as in U rho U^dagger: numpy's complex product can round
     # a*b and b*a differently.
     s01 = rho[0, 1] * phase
     s10 = phase.conj() * rho[1, 0]
-    # Checked before the envelope: scaling the off-diagonal by gamma in
-    # [0, 1] keeps the trace and the Hermitian part and can only raise the
-    # lower eigenvalue.
+    # Checked before the envelope: gamma in [0, 1] keeps the trace and the
+    # Hermitian part and can only raise the lower eigenvalue.
     jones._check_state(h, v, s01, s10, jones.COMPOSITE_TOL)
 
-    # The polarizer is real, so Re tr(P S) needs only the real parts of the
-    # entries of S; they are summed in the order of tr(P @ S).
-    proj = jones.polarizer(cfg.theta_post).matrix.real
-    gamma = cfg.contrast_envelope
-    p = (proj[0, 0] * h.real + proj[0, 1] * (gamma * s10.real)) + (
-        proj[1, 0] * (gamma * s01.real) + proj[1, 1] * v.real
-    )
+    c, s = math.cos(cfg.theta_post), math.sin(cfg.theta_post)
+    p = (c * c * h.real + s * s * v.real) + cfg.contrast_envelope * c * s * (s01.real + s10.real)
     tol = jones.COMPOSITE_TOL
     for worst in (p.min(initial=0.0), p.max(initial=0.0)):
         if worst < -tol or worst > 1.0 + tol:

@@ -523,7 +523,10 @@ def cmd_estimate(args) -> int:
     if args.scan is not None:
         theta = None if args.theta is None else parse_angle(args.theta)
         scan = _read_scan_csv(args.scan, theta)
-        res = fit_fringe(scan)
+        try:
+            res = fit_fringe(scan)
+        except ArithmeticError:
+            raise CliError(f"counts too large or too small to fit in {args.scan}") from None
         visibility = res.visibility
         std_error = res.std_error
         report["points"] = len(scan)

@@ -100,7 +100,8 @@ class HeraldedSource:
     background_rate: float = 0.0
 
     def __post_init__(self):
-        if int(self.pairs_per_window) != self.pairs_per_window or self.pairs_per_window < 0:
+        n = self.pairs_per_window
+        if not (0 <= n < np.inf and int(n) == n):  # int() fails on nan and inf
             raise DomainError(
                 f"pairs_per_window must be a non-negative integer, got {self.pairs_per_window}"
             )

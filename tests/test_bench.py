@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +106,18 @@ _UNIT = st.floats(0.0, 1.0)
     absorber=OneArmAbsorber(0.4, 0.3),
     phi2=np.linspace(-2 * math.pi, 2 * math.pi, 401).tolist(),
 )
+# theta = pi/2 with unit amplitudes puts p at 1/2 for every phase
+@example(cfg=BenchConfig(theta_post=math.pi / 2), absorber=NO_ABSORBER, phi2=[0.0, 1.0, 2.0])
+@example(
+    cfg=BenchConfig(theta_post=math.pi / 2, phi1=0.4), absorber=OneArmAbsorber(1.0, 0.3),
+    phi2=np.linspace(0, 2 * math.pi, 25).tolist(),
+)
+# an opaque arm (mu = 0) and a fully mixed input (epsilon = 0)
+@example(cfg=BenchConfig(theta_post=0.3), absorber=OneArmAbsorber(0.0, 1.0), phi2=[0.0, 2.5])
+@example(
+    cfg=BenchConfig(epsilon=0.0, theta_post=1.1), absorber=TwoArmAbsorber(0.3, 0.9, 0.2),
+    phi2=[0.0, 2.5],
+)
 def test_detection_probs_matches_reference_chain(cfg, absorber, phi2):
     got = detection_probs(cfg, absorber, np.array(phi2))
     assert got.shape == (len(phi2),)
@@ -125,11 +136,25 @@ def test_detection_probs_matches_reference_chain(cfg, absorber, phi2):
     ([[0.75, 0.1j], [-0.1j, 0.5]], r"trace 1\.25 outside"),
 ])
 def test_detection_probs_checks_each_point(monkeypatch, matrix, message):
-    # the kernel re-checks the state it conjugates, not only the validated chain
-    stub = SimpleNamespace(matrix=np.array(matrix, dtype=np.complex128))
+    # the kernel checks the closed-form state it conjugates, point by point
+    stub = np.array(matrix, dtype=np.complex128)
     monkeypatch.setattr(bench, "_before_second_prism", lambda cfg, absorber: stub)
     with pytest.raises(InternalConsistencyError, match=message):
         detection_probs(BenchConfig(), NO_ABSORBER, np.linspace(0, 2 * math.pi, 9))
+
+
+def test_detection_probs_builds_one_operator_and_no_state(monkeypatch):
+    # the absorber's validated operator is the only jones object per call
+    built = {jones.Operator: 0, jones.DensityMatrix: 0}
+    for cls in built:
+        def counting(self, _cls=cls, _init=cls.__post_init__):
+            built[_cls] += 1
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for absorber in (NO_ABSORBER, OneArmAbsorber(0.4, 0.3), TwoArmAbsorber(0.2, 0.7, 1.0)):
+        built.update(dict.fromkeys(built, 0))
+        detection_probs(BenchConfig(epsilon=0.9, phi1=0.2), absorber, np.linspace(0, 6, 25))
+        assert built == {jones.Operator: 1, jones.DensityMatrix: 0}
 
 
 def test_detection_prob_no_absorber_law():

@@ -370,6 +370,20 @@ def test_validation_exit_codes(tmp_path, capsys):
                 "-o", tmp_path / "x.csv"]) == 3
     assert "int64" in capsys.readouterr().err
 
+    # counts whose squares overflow a float (or underflow to 0) are refused
+    # with the file's name, not an ArithmeticError traceback or a RuntimeWarning
+    phases = np.linspace(0.0, 2 * math.pi, 25)
+    huge = tmp_path / "huge.csv"
+    wave = 1 + 0.5 * np.cos(phases)
+    for counts in ([1e160] * 25, (7e153 * wave).tolist(), (1e300 * wave).tolist(), [1e-200] * 25):
+        rows = "".join(f"{p!r},{n!r}\n" for p, n in zip(phases.tolist(), counts))
+        huge.write_text("phase_rad,counts\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["estimate", "--scan", huge, "--epsilon", 1, "-o", tmp_path / "e.json"]) == 3
+        assert capsys.readouterr().err == f"error: counts too large or too small to fit in {huge}\n"
+        assert not (tmp_path / "e.json").exists()
+
     # a standard error must be a finite non-negative number; nan and inf
     # would reach the JSON report as NaN and Infinity, which JSON forbids
     for std_error in ("-1", "nan", "inf"):

@@ -26,6 +26,9 @@ def test_source_validation():
         HeraldedSource(pairs_per_window=-1)
     with pytest.raises(DomainError):
         HeraldedSource(pairs_per_window=2.5)
+    for pairs in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="pairs_per_window must be a non-negative integer"):
+            HeraldedSource(pairs_per_window=pairs)
     with pytest.raises(DomainError):
         CoherentSource(nbar=-1.0)
     with pytest.raises(DomainError):
