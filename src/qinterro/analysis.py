@@ -103,13 +103,17 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     propagated from Poisson variances sigma_k^2 = counts_k; sigma_V from V = b/a.
 
     If the rms residual exceeds _FALLBACK_RESIDUAL_SIGMAS Poisson sigmas of
-    the mean count level, or the fitted offset or amplitude is unusable, the
-    raw extrema are reported instead with used_fallback set.
+    the mean count level (and 64 eps max(counts), past what rounding leaves),
+    or the fitted offset or amplitude is unusable, the raw extrema are
+    reported instead with used_fallback set.
     """
     if len(scan) < 4:
         raise DomainError(f"need at least 4 scan points, got {len(scan)}")
     phases = scan.phases
     y = scan.counts
+    # the fallback squares d_max + d_min: refuse counts where that overflows, fit or not
+    if float(y.max()) + float(y.min()) > math.sqrt(np.finfo(float).max):
+        raise OverflowError("counts too large for the extrema fallback")
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     # the rank cutoff of lstsq and matrix_rank: eps max(M, N) sigma_max
@@ -120,7 +124,9 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     a, p, q = (float(v) for v in beta)
     b = math.hypot(p, q)
     rms = math.sqrt(float(np.mean((y - x @ beta) ** 2)))
-    threshold = _FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0)
+    # rounding leaves up to ~13 eps max(y), over five Poisson sigmas above ~1e33 counts
+    sigmas = _FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0)
+    threshold = max(sigmas, 64.0 * np.finfo(float).eps * float(y.max()))
 
     if rms > threshold or a <= 0.0 or b > a * (1.0 + 1e-9):
         return _extrema_result(scan)
@@ -301,8 +307,7 @@ def weak_value_detection_identity(phase: float, mu: float) -> float:
 
 def weak_value_visibility(mu: float) -> float:
     """Visibility implied by the weak-value picture: 2 sqrt(mu)/(1 + mu)."""
-    unit_interval("mu", mu)
-    return 2.0 * math.sqrt(mu) / (1.0 + mu)
+    return visibility_one_arm(mu, 1.0)
 
 
 @dataclass(frozen=True)
@@ -335,17 +340,12 @@ def nonunitary_expectation_visibility(
     norm = float(np.linalg.norm(i))
     if abs(norm - 1.0) > 1e-12:
         raise DomainError(f"i_state must be normalized, got norm {norm}")
-    u, r = jones.polar_decompose(f)
-    expectation = complex(np.vdot(i, f.matrix @ i))
-    r2_mean = float(np.vdot(i, r.matrix @ (r.matrix @ i)).real)
-    visibility = 2.0 * abs(expectation) / (1.0 + r2_mean)
-
-    post = u.matrix.conj().T @ i
-    overlap = complex(np.vdot(post, i))
-    if abs(overlap) > 1e-12:
-        wv = complex(np.vdot(post, r.matrix @ i)) / overlap
-    else:
-        wv = None
+    fi = f.matrix @ i
+    expectation = complex(np.vdot(i, fi))
+    # <i|R^2|i> = |F i|^2, and the weak value of R is <i|U R|i> / <i|U|i>
+    visibility = 2.0 * abs(expectation) / (1.0 + float(np.vdot(fi, fi).real))
+    overlap = complex(np.vdot(i, jones.polar_decompose(f)[0].matrix @ i))
+    wv = expectation / overlap if abs(overlap) > 1e-12 else None
     return NonunitaryVisibilityResult(
         visibility=visibility, expectation=expectation, weak_value=wv
     )

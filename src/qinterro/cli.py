@@ -744,7 +744,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (QInterroError, DomainError) as exc:
+    except QInterroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

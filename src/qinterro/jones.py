@@ -24,7 +24,6 @@ COMPOSITE_TOL = 1e-10
 OPERATOR_KINDS = ("polarizer", "hwp", "phase", "absorber", "general")
 
 KET_H = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-KET_V = np.array([0.0 + 0.0j, 1.0 + 0.0j])
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -198,49 +197,22 @@ def apply_operator(op: Operator, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(op.matrix @ rho.matrix @ op.matrix.conj().T)
 
 
-def _principal_sqrt_psd(gram: np.ndarray) -> np.ndarray:
-    # sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)) for PSD A != 0
-    t = gram[0, 0].real + gram[1, 1].real
-    det = (gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]).real
-    s = math.sqrt(max(det, 0.0))
-    denom_sq = t + 2.0 * s
-    if denom_sq <= 0.0:
-        return np.zeros((2, 2), dtype=np.complex128)
-    return (gram + s * _I2) / math.sqrt(denom_sq)
-
-
 def polar_decompose(op: Operator) -> tuple[Operator, Operator]:
     """Split F into U R with U unitary and R = sqrt(F^dagger F) Hermitian PSD.
 
-    For invertible F the factors are unique. For singular F the unitary part
-    is completed deterministically: the kernel direction of R is mapped onto
-    the orthogonal complement of the image with the phase closest to the
-    identity map, which reduces to the identity completion whenever that is
-    itself unitary (for example diagonal absorbers with a dead arm).
+    From one SVD F = W S V^dagger: U = W V^dagger, R = V S V^dagger, unique
+    for invertible F; U = I for F numerically zero. For rank-one F the kernel
+    direction of R goes onto the complement of the image with the phase
+    closest to the identity map, so U = I for a polarizer or a dead-arm
+    absorber; where those two directions are orthogonal, LAPACK's phase is kept.
     """
-    f = op.matrix
-    gram = f.conj().T @ f
-    r = _principal_sqrt_psd(gram)
-    lo, hi = hermitian_eigenvalues(r)
-
-    if hi <= CONSTRUCTOR_TOL:
-        # F is numerically zero; any unitary works, pick the identity.
-        u = _I2.copy()
-    elif lo > 1e-9 * hi:
-        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-        r_inv = np.array([[r[1, 1], -r[0, 1]], [-r[1, 0], r[0, 0]]]) / det_r
-        u = f @ r_inv
-    else:
-        # R is rank one: its dominant column is the sole range direction.
-        norms = [np.linalg.norm(r[:, 0]), np.linalg.norm(r[:, 1])]
-        j = int(np.argmax(norms))
-        u1 = r[:, j] / norms[j]
-        w_raw = f @ u1
-        w1 = w_raw / np.linalg.norm(w_raw)
-        u0 = np.array([-np.conj(u1[1]), np.conj(u1[0])])
-        w0 = np.array([-np.conj(w1[1]), np.conj(w1[0])])
-        z = np.vdot(u0, w0)
-        c = np.conj(z) / abs(z) if abs(z) > CONSTRUCTOR_TOL else 1.0
-        u = np.outer(w1, u1.conj()) + c * np.outer(w0, u0.conj())
-
-    return Operator(u, kind="general"), Operator(r, kind="general")
+    w, s, vh = np.linalg.svd(op.matrix)
+    r = Operator((vh.conj().T * s) @ vh, kind="general")
+    if s[0] <= CONSTRUCTOR_TOL:  # F is numerically zero: any U works
+        return Operator(_I2, kind="general"), r
+    if s[1] <= 1e-9 * s[0]:
+        # z = <v_1|w_1>; the phase conj(z)/|z| maximizes Re tr U
+        z = vh[1] @ w[:, 1]
+        if abs(z) > CONSTRUCTOR_TOL:
+            w[:, 1] *= z.conjugate() / abs(z)
+    return Operator(w @ vh, kind="general"), r

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from . import jones
 from ._validate import non_negative, unit_interval
+from .bench import i_prob, two_arm_detection
 from .exceptions import DomainError
 
 # Above this jitter variance the second-order expansion is visibly biased.
@@ -76,8 +77,7 @@ def detection_with_reflectivity(
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
     _check_lambda(lambda_total)
-    fringe = 1.0 + mu + 2.0 * epsilon * math.sqrt(mu) * math.cos(phi)
-    return 0.25 * (1.0 - lambda_total) * fringe
+    return (1.0 - lambda_total) * two_arm_detection(1.0, mu, epsilon, phi)
 
 
 def i_prob_reflectivity(mu: float, epsilon: float, lambda_total: float) -> float:
@@ -85,7 +85,7 @@ def i_prob_reflectivity(mu: float, epsilon: float, lambda_total: float) -> float
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
     _check_lambda(lambda_total)
-    return 0.25 * (1.0 - lambda_total) * (1.0 + 2.0 * epsilon - mu)
+    return (1.0 - lambda_total) * i_prob(mu, epsilon)
 
 
 def dmax_with_jitter(mu: float, epsilon: float, dphi2: float) -> float:
@@ -113,4 +113,4 @@ def i_prob_jitter(mu: float, epsilon: float, dphi2: float) -> float:
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
     _check_dphi2(dphi2)
-    return 0.25 * (1.0 + 2.0 * epsilon - mu - dphi2)
+    return i_prob(mu, epsilon) - 0.25 * dphi2

@@ -23,9 +23,7 @@ call and rewrites word 1 of the key of one state dict before each point, so
 a point costs one state assignment and its draws, and every output byte is
 the same as with one derived_rng per point. A point's count depends only on
 the seed, its index and its click probability, so identical inputs give
-bit-identical counts regardless of evaluation order. The first 0.1.0 builds
-drew every window from a SeedSequence((*seed, i)) generator, so count
-columns differ from their 0.1.0 outputs for the same seed.
+bit-identical counts regardless of evaluation order.
 """
 from __future__ import annotations
 

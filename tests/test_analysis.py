@@ -104,6 +104,13 @@ def test_fit_fringe_noiseless_recovers_generating_visibility():
         if v > 1e-3:
             dphi = (res.fit_phase - phase0 + math.pi) % (2 * math.pi) - math.pi
             assert abs(dphi) < 1e-6
+    # rounding leaves a residual of ~1e-16 of the counts, over five Poisson
+    # sigmas above ~1e33 counts; it must not send the fit to the extrema
+    for a in (1e33, 1e100, 1e150):
+        for v in (0.0, 0.5, 0.93):
+            res = fit_fringe(noiseless_scan(a, a * v, 0.3))
+            assert not res.used_fallback
+            assert res.visibility == pytest.approx(v, abs=1e-12)
 
 
 def test_fit_fringe_constant_data():
@@ -140,6 +147,8 @@ def test_fit_fringe_fallback_on_non_sinusoid():
     assert res.used_fallback
     assert res.d_max == 4000.0 and res.d_min == 100.0
     assert res.visibility == pytest.approx((4000 - 100) / (4100), abs=1e-12)
+    # the threshold's rounding floor must not hide a misfit at huge counts
+    assert fit_fringe(FringeScan(phases=phases, counts=counts * 1e150)).used_fallback
 
 
 def test_fit_fringe_input_validation():
@@ -434,6 +443,9 @@ def test_nonunitary_visibility_opaque_arm():
     res = nonunitary_expectation_visibility(jones.absorber(0.0), diag_plus)
     assert res.expectation == pytest.approx(0.5, abs=1e-12)
     assert res.visibility == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # a polarizer is rank one too; its U = I makes the weak value <+|P|+>
+    res = nonunitary_expectation_visibility(jones.polarizer(math.pi / 8), diag_plus)
+    assert res.weak_value == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
 
 
 def test_nonunitary_visibility_pure_phase():

@@ -178,6 +178,15 @@ def test_polar_decompose_randomized():
         # the unitary factor really is unitary for generic (invertible) input
         if abs(np.linalg.det(f.matrix)) > 1e-6:
             assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(2)).max() <= 1e-10
+    # rank-one F = a b^dagger: its Gram matrix is singular only up to rounding
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+        m = np.outer(a, b.conj())
+        f = jones.Operator(m / (np.linalg.norm(m, 2) * rng.uniform(1.0, 3.0)))
+        u, r = jones.polar_decompose(f)
+        assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(2)).max() <= 1e-12
+        assert np.abs(u.matrix @ r.matrix - f.matrix).max() <= 1e-12
 
 
 def test_polar_decompose_singular_cases():
@@ -205,3 +214,10 @@ def test_polar_decompose_singular_cases():
     u, r = jones.polar_decompose(f)
     assert np.abs(u.matrix @ r.matrix - f.matrix).max() <= 1e-12
     assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(2)).max() <= 1e-12
+
+    # a polarizer is its own R, so the completion closest to the identity is I
+    for theta in np.linspace(0.0, math.pi, 181):
+        f = jones.polarizer(theta)
+        u, r = jones.polar_decompose(f)
+        assert np.abs(u.matrix - np.eye(2)).max() <= 1e-12
+        assert np.abs(r.matrix - f.matrix).max() <= 1e-12
