@@ -201,13 +201,10 @@ def estimate_mu(visibility: float, epsilon: float = 1.0) -> float:
     """Invert the one-arm visibility law for the transmittance mu.
 
     Solves 2 eps sqrt(mu)/(1 + mu) = V on the physical branch mu <= 1. The
-    two mathematical roots are reciprocal; the discarded one is 1/mu.
+    two mathematical roots are reciprocal; the discarded one is 1/mu. This
+    is the two-arm inversion with the reference arm open (mu1 = 1).
     """
-    unit_interval("epsilon", epsilon)
-    if not math.isfinite(visibility) or visibility <= 0.0:
-        raise DomainError(f"visibility must be positive, got {visibility}")
-    x = _branch_root(visibility, epsilon, larger=False)
-    return min(x * x, 1.0)
+    return min(estimate_mu_two_arm(visibility, 1.0, epsilon), 1.0)
 
 
 def estimate_mu_two_arm(

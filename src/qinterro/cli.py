@@ -97,9 +97,7 @@ def parse_angle(text: str) -> float:
         if not m:
             raise CliError(f"could not parse angle {text!r}") from None
         coef = m.group(1)
-        sign = -1.0 if coef == "-" else 1.0
-        value = 1.0 if coef in ("", "+", "-") else float(coef)
-        angle = sign * abs(value) * math.pi if coef == "-" else value * math.pi
+        angle = float(coef + "1" if coef in ("", "+", "-") else coef) * math.pi
         if m.group(2):
             if float(m.group(2)) == 0.0:
                 raise CliError(f"angle {text!r} divides by zero") from None
@@ -142,7 +140,8 @@ def _fmt(value) -> str:
 
 
 def _config_comment(pairs: dict) -> str:
-    body = " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
+    # no accepted flag text depends on its whitespace, and a newline would end the line
+    body = " ".join(f"{k}={''.join(str(pairs[k]).split())}" for k in sorted(pairs))
     return f"# config: {body}"
 
 
@@ -188,16 +187,17 @@ def _source_from_args(args) -> HeraldedSource | CoherentSource:
 
 
 def _absorber_from_args(args):
-    mu2 = getattr(args, "mu2", None)
-    mu = getattr(args, "mu", None)
-    if mu2 is not None:
-        mu1 = getattr(args, "mu1", None)
-        if mu1 is None:
-            raise CliError("--mu2 requires --mu1")
-        return TwoArmAbsorber(mu1=mu1, mu2=mu2, delta=parse_angle(args.delta))
-    if mu is not None:
-        return OneArmAbsorber(mu=mu, delta=parse_angle(args.delta))
-    return NO_ABSORBER
+    if args.mu1 is None and args.mu2 is None:
+        if args.mu is None:
+            return NO_ABSORBER
+        return OneArmAbsorber(mu=args.mu, delta=parse_angle(args.delta))
+    if args.mu is not None:
+        raise CliError("--mu cannot be combined with --mu1/--mu2")
+    if args.mu1 is None:
+        raise CliError("--mu2 requires --mu1")
+    if args.mu2 is None:
+        raise CliError("--mu1 requires --mu2")
+    return TwoArmAbsorber(mu1=args.mu1, mu2=args.mu2, delta=parse_angle(args.delta))
 
 
 def cmd_fringes(args) -> int:
@@ -216,6 +216,7 @@ def cmd_fringes(args) -> int:
         "gamma": args.gamma,
         "phase_grid": args.phase_grid,
         "thetas": args.thetas,
+        **vars(absorber),  # mu, or mu1 and mu2, and delta; nothing without an object
     }
     points = []
     summaries = []
@@ -289,6 +290,7 @@ def cmd_sweep_mu(args) -> int:
         "epsilon": args.epsilon,
         "lambda": args.lambda_total,
         "dphi2": args.dphi2,
+        "background": args.background,
         "windows": args.windows,
         "seed": args.seed,
     }
@@ -519,6 +521,10 @@ def cmd_estimate(args) -> int:
     if std_error is not None:
         # also keeps nan and inf, which JSON cannot carry, out of the report
         std_error = non_negative("std_error", std_error)
+    if args.scan is None and args.visibility is None:
+        raise CliError("provide --visibility or --scan")
+    if args.epsilon is None and args.equal_arm_visibility is None:
+        raise CliError("provide --epsilon or --equal-arm-visibility")
 
     if args.scan is not None:
         theta = None if args.theta is None else parse_angle(args.theta)
@@ -531,18 +537,10 @@ def cmd_estimate(args) -> int:
         std_error = res.std_error
         report["points"] = len(scan)
         report["used_fallback"] = res.used_fallback
-    elif args.visibility is not None:
+    else:
         visibility = args.visibility
-    else:
-        raise CliError("provide --visibility or --scan")
-
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-    elif args.equal_arm_visibility is not None:
-        # With equal arms the fringe visibility equals the purity itself.
-        epsilon = args.equal_arm_visibility
-    else:
-        raise CliError("provide --epsilon or --equal-arm-visibility")
+    # With equal arms the fringe visibility equals the purity itself.
+    epsilon = args.epsilon if args.epsilon is not None else args.equal_arm_visibility
 
     report["visibility"] = visibility
     report["std_error"] = std_error
@@ -741,9 +739,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         with warnings.catch_warnings():  # resets the registry: each call warns once
             return args.func(args)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except QInterroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

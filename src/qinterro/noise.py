@@ -74,6 +74,7 @@ def detection_with_reflectivity(
 
     (1 - lambda) (1 + mu + 2 eps sqrt(mu) cos phi) / 4.
     """
+    # not left to two_arm_detection: it says "mu2", and takes cos(phi) before lambda's check
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
     _check_lambda(lambda_total)
@@ -82,10 +83,9 @@ def detection_with_reflectivity(
 
 def i_prob_reflectivity(mu: float, epsilon: float, lambda_total: float) -> float:
     """Interrogation probability degraded by reflectivity: scaled by (1 - lambda)."""
-    unit_interval("mu", mu)
-    unit_interval("epsilon", epsilon)
+    base = i_prob(mu, epsilon)
     _check_lambda(lambda_total)
-    return (1.0 - lambda_total) * i_prob(mu, epsilon)
+    return (1.0 - lambda_total) * base
 
 
 def dmax_with_jitter(mu: float, epsilon: float, dphi2: float) -> float:
@@ -110,7 +110,6 @@ def i_prob_jitter(mu: float, epsilon: float, dphi2: float) -> float:
     dmax_with_jitter(1, eps, dphi2) - detection_prob_washed(mu) and can go
     negative away from eps = 1 (-0.1125 at mu = 1, eps = 0, dphi2 = 0.45).
     """
-    unit_interval("mu", mu)
-    unit_interval("epsilon", epsilon)
+    base = i_prob(mu, epsilon)
     _check_dphi2(dphi2)
-    return i_prob(mu, epsilon) - 0.25 * dphi2
+    return base - 0.25 * dphi2

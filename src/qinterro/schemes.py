@@ -48,23 +48,19 @@ def eta_ev_bound() -> float:
     return 1.0 / 3.0
 
 
-def _eta_multipass(n: int) -> float:
-    if int(n) != n or n < 2:
-        raise DomainError(f"need an integer number of passes >= 2, got {n}")
-    return math.cos(math.pi / (2.0 * n)) ** (2 * n)
-
-
 def eta_npass(n: int) -> float:
     """Efficiency of the N-pass interferometer scheme: cos^(2N)(pi/2N).
 
     Approaches 1 as N grows; equals 1/4 at the minimum N = 2.
     """
-    return _eta_multipass(n)
+    if int(n) != n or n < 2:
+        raise DomainError(f"need an integer number of passes >= 2, got {n}")
+    return math.cos(math.pi / (2.0 * n)) ** (2 * n)
 
 
 def eta_zeno(n: int) -> float:
     """Efficiency of the Zeno-style rotator scheme; same law as eta_npass."""
-    return _eta_multipass(n)
+    return eta_npass(n)
 
 
 def compare_schemes(

@@ -170,6 +170,47 @@ def test_fringes_opaque_object_keeps_the_other_thetas(tmp_path, capsys):
         assert float(cells[1]) >= 0.0 and cells[8] in ("true", "false")
 
 
+def test_fringes_two_arm_object(tmp_path, capsys):
+    out = tmp_path / "two.csv"
+    eps, gamma, mu1, mu2 = 0.9, 0.8, 0.5, 0.7
+    assert run(["fringes", "--epsilon", eps, "--gamma", gamma, "--mu1", mu1, "--mu2", mu2,
+                "--thetas", "pi/4", "--seed", 2, "-o", out]) == 0
+    capsys.readouterr()
+    points, _ = read_fringe_sections(out)
+    assert len(points) == 25
+    for cells in points:
+        phase, prob = float(cells[1]), float(cells[3])
+        want = (mu1 + mu2 + 2 * eps * gamma * math.sqrt(mu1 * mu2) * math.cos(phase)) / 4
+        assert abs(prob - want) <= 1e-12
+    config = out.read_text().splitlines()[1].split()
+    assert {"mu1=0.5", "mu2=0.7", "delta=0.0"} <= set(config)
+    assert not any(key.startswith("mu=") for key in config)
+
+
+def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
+    out = tmp_path / "fringes.csv"
+    assert run(["fringes", "--thetas", " pi/4 ", "--phase-grid", "0:2pi\n:9",
+                "--mu", 0.4, "--delta", "pi / 3", "-o", out]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == (
+        "# config: background=0.0 delta=1.0471975511965976 epsilon=1.0 gamma=1.0 mu=0.4 "
+        "phase_grid=0:2pi:9 rate=800.0 seed=42 source=heralded thetas=pi/4 windows=25"
+    )
+    assert lines[2] == ",".join(("theta_rad", "phase_rad", "counts", "expected_prob"))
+    capsys.readouterr()
+    assert run(["estimate", "--scan", out, "--theta", "pi/4", "--epsilon", 1]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 9
+
+    # --background changes the Monte Carlo column, so sweep-mu records it
+    sweep = tmp_path / "sweep"
+    assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "-o", sweep]) == 0
+    assert "background=2.0" in sweep.read_text().splitlines()[1].split()
+    assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "--format", "json",
+                "-o", sweep]) == 0
+    assert json.loads(sweep.read_text())["config"]["background"] == 2.0
+    capsys.readouterr()
+
+
 def test_fringes_round_trip_through_scan_reader(tmp_path, capsys):
     out = tmp_path / "fringes.csv"
     assert run(["fringes", "--thetas", "pi/8,pi/4,3pi/8", "--mu", 0.4,
@@ -287,7 +328,14 @@ def test_config_file_and_override(tmp_path, capsys):
     assert run(["fringes", "--config", cfg, "--epsilon", 0.8, "-o", out_b]) == 0
     text = out_b.read_text()
     assert "epsilon=0.8" in text and "seed=7" in text  # explicit flag wins
+
+    out_c = tmp_path / "c.csv"
+    assert run(["fringes", f"--config={cfg}", "-o", out_c]) == 0
+    assert out_c.read_bytes() == out_a.read_bytes()
     capsys.readouterr()
+    # --config as the last token has no path to read
+    assert run(["fringes", "-o", out_c, "--config"]) == 3
+    assert "error: --config needs a path" in capsys.readouterr().err
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -295,6 +343,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["fringes", "--no-such-flag", "-o", tmp_path / "x.csv"]) == 3
     assert run(["sweep-mu", "-o", tmp_path / "x.csv"]) == 3  # no mu source given
     assert run(["estimate", "--visibility", 0.5]) == 3  # no epsilon route
+    capsys.readouterr()
+    for argv, reason in (
+        (["fringes", "--thetas", ","], "empty angle list ','"),
+        (["fringes", "--mu2", 0.5], "--mu2 requires --mu1"),
+        (["sweep-mu", "--calibration", "data/calibration_synthetic_635nm.csv"],
+         "--calibration requires --positions start:stop:count"),
+        (["sweep-mu", "--mu-grid", "0:1.5:3"], "mu grid values must lie in [0, 1]"),
+    ):
+        assert run([*argv, "-o", tmp_path / "x.csv"]) == 3
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+    assert run(["estimate", "--epsilon", 1]) == 3
+    assert "error: provide --visibility or --scan" in capsys.readouterr().err
 
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("epsilon 0.5\n")
@@ -391,6 +452,26 @@ def test_validation_exit_codes(tmp_path, capsys):
                     "--std-error", std_error, "-o", tmp_path / "e.json"]) == 3
         assert "std_error must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
+
+
+def test_dropped_absorber_flags_and_a_missing_purity_are_refused(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    both = "--mu cannot be combined with --mu1/--mu2"
+    for flags, reason in (
+        (["--mu1", 0.3], "--mu1 requires --mu2"),
+        (["--mu", 0.3, "--mu1", 0.5, "--mu2", 0.7], both),
+        (["--mu", 0.3, "--mu1", 0.5], both),
+        (["--mu", 0.3, "--mu2", 0.5], both),
+    ):
+        assert run(["fringes", *flags, "-o", out]) == 3
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+    # estimate refuses a missing purity before it opens the scan
+    junk = tmp_path / "junk.csv"
+    junk.write_text("not,a,scan\n")
+    for scan in (tmp_path / "missing.csv", junk):
+        assert run(["estimate", "--scan", scan, "--theta", "pi/4"]) == 3
+        assert "error: provide --epsilon or --equal-arm-visibility" in capsys.readouterr().err
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
