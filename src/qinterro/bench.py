@@ -202,6 +202,7 @@ def two_arm_detection(mu1: float, mu2: float, epsilon: float, phi: float) -> flo
     unit_interval("mu1", mu1)
     unit_interval("mu2", mu2)
     unit_interval("epsilon", epsilon)
+    finite("phi", phi)
     return 0.25 * (mu1 + mu2 + 2.0 * epsilon * math.sqrt(mu1 * mu2) * math.cos(phi))
 
 

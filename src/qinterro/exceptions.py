@@ -9,6 +9,10 @@ class DomainError(QInterroError, ValueError):
     """An argument is outside the physically or mathematically valid range."""
 
 
+class CliError(DomainError):
+    """Bad command-line input."""
+
+
 class InternalConsistencyError(QInterroError):
     """A computed object violates its own invariants beyond tolerance."""
 

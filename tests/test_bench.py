@@ -273,6 +273,9 @@ def test_config_validation():
         detection_probs(BenchConfig(), NO_ABSORBER, [0.0, float("nan")])
     with pytest.raises(DomainError):
         detection_probs(BenchConfig(), NO_ABSORBER, [[0.0]])
+    for phi in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"phi must be finite, got {phi}"):
+            two_arm_detection(0.5, 0.5, 1.0, phi)
 
 
 def test_with_total_phase():

@@ -13,10 +13,6 @@ from hypothesis import strategies as st
 
 from qinterro.analysis import visibility_no_absorber
 from qinterro.cli import (
-    _SUMMARY_COLUMNS,
-    _csv_section,
-    _fmt,
-    _read_scan_csv,
     build_parser,
     main,
     parse_angle,
@@ -24,6 +20,7 @@ from qinterro.cli import (
     parse_grid,
 )
 from qinterro.exceptions import DomainError
+from qinterro.report import _SUMMARY_COLUMNS, _csv_section, _fmt, _read_scan_csv
 
 
 def run(args):
@@ -245,6 +242,7 @@ def test_estimate_two_arm_and_branches(capsys):
                 "--mu1", 0.861]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mode"] == "two_arm"
+    assert report["branch"] == "low"
     assert report["epsilon_used"] == 0.63
     assert report["mu2_hat"] == pytest.approx(0.25, abs=1e-9)
     assert report["residual"] <= 1e-9
@@ -457,11 +455,16 @@ def test_validation_exit_codes(tmp_path, capsys):
 def test_dropped_absorber_flags_and_a_missing_purity_are_refused(tmp_path, capsys):
     out = tmp_path / "x.csv"
     both = "--mu cannot be combined with --mu1/--mu2"
+    no_object = "--delta needs an object: give --mu, or --mu1 with --mu2"
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("delta=pi/3\n")
     for flags, reason in (
         (["--mu1", 0.3], "--mu1 requires --mu2"),
         (["--mu", 0.3, "--mu1", 0.5, "--mu2", 0.7], both),
         (["--mu", 0.3, "--mu1", 0.5], both),
         (["--mu", 0.3, "--mu2", 0.5], both),
+        (["--delta", "junk"], no_object),
+        (["--config", cfg], no_object),
     ):
         assert run(["fringes", *flags, "-o", out]) == 3
         assert f"error: {reason}" in capsys.readouterr().err
@@ -472,6 +475,11 @@ def test_dropped_absorber_flags_and_a_missing_purity_are_refused(tmp_path, capsy
     for scan in (tmp_path / "missing.csv", junk):
         assert run(["estimate", "--scan", scan, "--theta", "pi/4"]) == 3
         assert "error: provide --epsilon or --equal-arm-visibility" in capsys.readouterr().err
+    # the one-arm estimate has one root, so --branch would be dropped
+    assert run(["estimate", "--visibility", 0.8, "--epsilon", 1, "--branch", "high",
+                "-o", tmp_path / "e.json"]) == 3
+    assert "error: --branch needs --mu1" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -11,20 +11,19 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from qinterro import cli
-from qinterro.cli import (
+from qinterro import report
+from qinterro.cli import main
+from qinterro.exceptions import CliError, DomainError
+from qinterro.report import (
     _BARE_HEADER,
     _FRINGES_COLUMNS,
     _SUMMARY_COLUMNS,
     _THETA_HEADER,
     _THETA_MATCH,
-    CliError,
     _cells,
     _csv_section,
     _read_scan_csv,
-    main,
 )
-from qinterro.exceptions import DomainError
 from qinterro.sources import FringeScan
 
 HEADER = "theta_rad,phase_rad,counts,expected_prob"
@@ -155,8 +154,8 @@ def test_scan_reader_parses_each_theta_text_once(tmp_path, monkeypatch):
 
     body = "".join(f"{t},{k}.5,{k},0\n" for k in range(5) for t in ("0.0", Q, " 0.0", "1.0"))
     path = write(tmp_path, f"{HEADER}\n{body}")
-    monkeypatch.setattr(cli, "float", counting_float, raising=False)
-    scan = cli._read_scan_csv(str(path), math.pi / 4)
+    monkeypatch.setattr(report, "float", counting_float, raising=False)
+    scan = report._read_scan_csv(str(path), math.pi / 4)
     assert scan.phases.tolist() == [0.5, 1.5, 2.5, 3.5, 4.5]
     assert len(seen) == 4 + 2 * 5
 
@@ -174,14 +173,14 @@ def test_scan_reader_holds_a_piece_and_one_line_at_most(tmp_path, monkeypatch, n
     path = write(tmp_path, text, newline)
     longest = max(map(len, path.read_bytes().splitlines(keepends=True)))
     pieces = []
-    feed = cli._ScanReader.feed
+    feed = report._ScanReader.feed
 
     def spy(reader, piece):
         pieces.append(piece)
         return feed(reader, piece)
 
-    monkeypatch.setattr(cli._ScanReader, "feed", spy)
-    monkeypatch.setattr(cli, "_PIECE_BYTES", piece_bytes)
+    monkeypatch.setattr(report._ScanReader, "feed", spy)
+    monkeypatch.setattr(report, "_PIECE_BYTES", piece_bytes)
     for theta in (0.0, math.pi / 4):
         pieces.clear()
         scan = _read_scan_csv(str(path), theta)
@@ -352,5 +351,5 @@ def test_scan_reader_matches_the_per_line_reference(
         Path(path).write_bytes(text.encode())
         want = _outcome(_reference_read_scan_csv, path, theta)
         # tiny pieces make runs and line ends cross piece boundaries
-        with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
+        with mock.patch.object(report, "_PIECE_BYTES", piece_bytes):
             assert _outcome(_read_scan_csv, path, theta) == want
