@@ -101,6 +101,8 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     (a, b cos phase0, b sin phase0). One SVD of the design matrix gives the
     rank check, the parameters and their unweighted least-squares covariance,
     propagated from Poisson variances sigma_k^2 = counts_k; sigma_V from V = b/a.
+    sigma_V is floored at eps (1 + V), the rounding in V itself, which the
+    Poisson sigma_V falls below past ~1e30 counts per point on 25 points.
 
     If the rms residual exceeds _FALLBACK_RESIDUAL_SIGMAS Poisson sigmas of
     the mean count level (and 64 eps max(counts), past what rounding leaves),
@@ -145,6 +147,7 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     v = b / a
     # Same algebra as V sqrt((sb/b)^2 + (sa/a)^2) but finite at b = 0.
     std_error = math.sqrt(max(var_b, 0.0) / a**2 + (b * math.sqrt(max(var_a, 0.0)) / a**2) ** 2)
+    std_error = max(std_error, math.ulp(1.0) * (1.0 + v))
     return VisibilityResult(
         visibility=v,
         std_error=std_error,
@@ -165,10 +168,9 @@ def visibility_no_absorber(theta: float, epsilon: float) -> float:
 
 
 def visibility_one_arm(mu: float, epsilon: float) -> float:
-    """Visibility with a one-arm object: 2 eps sqrt(mu) / (1 + mu)."""
+    """Visibility with a one-arm object: 2 eps sqrt(mu) / (1 + mu), the two-arm law at mu1 = 1."""
     unit_interval("mu", mu)
-    unit_interval("epsilon", epsilon)
-    return 2.0 * epsilon * math.sqrt(mu) / (1.0 + mu)
+    return visibility_two_arm(1.0, mu, epsilon)
 
 
 def visibility_two_arm(mu1: float, mu2: float, epsilon: float) -> float:

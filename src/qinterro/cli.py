@@ -118,8 +118,24 @@ def parse_grid(text: str) -> np.ndarray:
 
 def _source_from_args(args) -> HeraldedSource | CoherentSource:
     if args.source == "heralded":
-        return HeraldedSource(pairs_per_window=args.pairs, background_rate=args.background)
-    return CoherentSource(nbar=args.nbar, background_rate=args.background)
+        if args.nbar is not None:
+            raise CliError(
+                "--nbar cannot be used with --source heralded: it sets a coherent source"
+            )
+        pairs = 800 if args.pairs is None else args.pairs
+        return HeraldedSource(pairs_per_window=pairs, background_rate=args.background)
+    if args.pairs is not None:
+        raise CliError(
+            "--pairs cannot be used with --source coherent: it sets a heralded source"
+        )
+    nbar = 800.0 if args.nbar is None else args.nbar
+    return CoherentSource(nbar=nbar, background_rate=args.background)
+
+
+def _run_record(args, source) -> dict:
+    """The # config: keys that fringes and sweep-mu both write."""
+    return {"source": args.source, "rate": source.mean_rate, "epsilon": args.epsilon,
+            "background": args.background, "windows": args.windows, "seed": args.seed}
 
 
 def _absorber_from_args(args):
@@ -146,12 +162,7 @@ def cmd_fringes(args) -> int:
     grid = parse_grid(args.phase_grid)
 
     meta = {
-        "source": args.source,
-        "rate": source.mean_rate,
-        "epsilon": args.epsilon,
-        "background": args.background,
-        "windows": args.windows,
-        "seed": args.seed,
+        **_run_record(args, source),
         "gamma": args.gamma,
         "phase_grid": args.phase_grid,
         "thetas": args.thetas,
@@ -208,31 +219,40 @@ def _mu_grid_from_args(args) -> np.ndarray:
     if args.calibration is not None:
         if args.positions is None:
             raise CliError("--calibration requires --positions start:stop:count")
+        if args.mu_grid is not None:
+            raise CliError("--mu-grid cannot be used with --calibration: both set the mu values")
         table = load_calibration(args.calibration)
         positions = parse_grid(args.positions)
         return np.array([mu_at(table, p) for p in positions])
     if args.mu_grid is None:
         raise CliError("provide --mu-grid or --calibration with --positions")
+    if args.positions is not None:
+        raise CliError("--positions needs --calibration: it selects points of a calibration table")
     grid = parse_grid(args.mu_grid)
     if (grid < 0).any() or (grid > 1).any():
         raise CliError("mu grid values must lie in [0, 1]")
     return grid
 
 
+def _write_report(args, schema: str, columns, rows, comment: str, **fields) -> None:
+    """Write a report as --format asks: JSON with fields, or CSV with the comment line."""
+    if args.format == "json":
+        text = _json_report(schema, columns, rows, **fields)
+    else:
+        text = _csv_section(schema, columns, rows, comment)
+    _write_text(args.output, text)
+
+
 def cmd_sweep_mu(args) -> int:
     source = _source_from_args(args)
     mu_grid = _mu_grid_from_args(args)
 
-    meta = {
-        "source": args.source,
-        "rate": source.mean_rate,
-        "epsilon": args.epsilon,
-        "lambda": args.lambda_total,
-        "dphi2": args.dphi2,
-        "background": args.background,
-        "windows": args.windows,
-        "seed": args.seed,
-    }
+    meta = {**_run_record(args, source), "lambda": args.lambda_total, "dphi2": args.dphi2}
+    # where the mu values came from, as given
+    if args.calibration is None:
+        meta["mu_grid"] = args.mu_grid
+    else:
+        meta.update(calibration=args.calibration, positions=args.positions)
     rows = []
     negative = []  # mu values whose i_prob_jitter is below 0
     for i, mu in enumerate(mu_grid):
@@ -255,12 +275,9 @@ def cmd_sweep_mu(args) -> int:
             file=sys.stderr,
         )
 
-    schema = "qinterro.sweep_mu/1"
-    if args.format == "json":
-        text = _json_report(schema, _SWEEP_MU_COLUMNS, rows, config=meta)
-    else:
-        text = _csv_section(schema, _SWEEP_MU_COLUMNS, rows, _config_comment(meta))
-    _write_text(args.output, text)
+    _write_report(
+        args, "qinterro.sweep_mu/1", _SWEEP_MU_COLUMNS, rows, _config_comment(meta), config=meta
+    )
     print(f"wrote {args.output} ({len(rows)} points)")
     return EXIT_OK
 
@@ -357,13 +374,11 @@ def cmd_compare(args) -> int:
     mu_values = _number_list("--mu-values", args.mu_values, float)
     table = compare_schemes(n_values, mu_values, epsilon=args.epsilon)
 
-    schema = "qinterro.compare/1"
     rows = [(r.scheme, r.parameter, r.eta) for r in table.rows]
-    if args.format == "json":
-        text = _json_report(schema, _COMPARE_COLUMNS, rows, footnote=table.footnote)
-    else:
-        text = _csv_section(schema, _COMPARE_COLUMNS, rows, f"# note: {table.footnote}")
-    _write_text(args.output, text)
+    _write_report(
+        args, "qinterro.compare/1", _COMPARE_COLUMNS, rows, f"# note: {table.footnote}",
+        footnote=table.footnote,
+    )
     print(f"wrote {args.output} ({len(table.rows)} rows)")
     return EXIT_OK
 
@@ -383,8 +398,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_source_flags(p: _Parser) -> None:
     p.add_argument("--source", choices=("heralded", "coherent"), default="heralded")
-    p.add_argument("--pairs", type=int, default=800, help="heralded pairs per window")
-    p.add_argument("--nbar", type=float, default=800.0, help="coherent mean photons per window")
+    p.add_argument("--pairs", type=int, default=None,
+                   help="heralded pairs per window (800 if not given)")
+    p.add_argument("--nbar", type=float, default=None,
+                   help="coherent mean photons per window (800 if not given)")
     p.add_argument("--background", type=float, default=0.0, help="background counts per window")
     p.add_argument("--windows", type=int, default=25, help="counting windows per point")
     p.add_argument("--seed", type=int, default=42)

@@ -17,18 +17,13 @@ import warnings
 from typing import Iterable
 
 from . import jones
-from ._validate import non_negative, unit_interval
+from ._validate import below_one, non_negative, unit_interval
 from .bench import i_prob, two_arm_detection
 from .exceptions import DomainError
 
 # Above this jitter variance the second-order expansion is visibly biased.
 JITTER_WARN_THRESHOLD = 0.2
 JITTER_MAX = 0.5
-
-
-def _check_lambda(lambda_total: float) -> None:
-    if not (math.isfinite(lambda_total) and 0.0 <= lambda_total < 1.0):
-        raise DomainError(f"lambda_total must be in [0, 1), got {lambda_total}")
 
 
 def _check_dphi2(dphi2: float) -> None:
@@ -58,8 +53,7 @@ def augment_with_reflection(
     """
     lam = [float(v) for v in lambdas]
     for v in lam:
-        if not (math.isfinite(v) and 0.0 <= v < 1.0):
-            raise DomainError(f"each reflectivity must be in [0, 1), got {v}")
+        below_one("each reflectivity", v)
     total = sum(lam)
     if total >= 1.0:
         raise DomainError(f"summed reflectivities must stay below 1, got {total}")
@@ -77,14 +71,14 @@ def detection_with_reflectivity(
     # not left to two_arm_detection: it says "mu2", and takes cos(phi) before lambda's check
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
-    _check_lambda(lambda_total)
+    below_one("lambda_total", lambda_total)
     return (1.0 - lambda_total) * two_arm_detection(1.0, mu, epsilon, phi)
 
 
 def i_prob_reflectivity(mu: float, epsilon: float, lambda_total: float) -> float:
     """Interrogation probability degraded by reflectivity: scaled by (1 - lambda)."""
     base = i_prob(mu, epsilon)
-    _check_lambda(lambda_total)
+    below_one("lambda_total", lambda_total)
     return (1.0 - lambda_total) * base
 
 

@@ -8,6 +8,7 @@ with _read_scan_csv.
 from __future__ import annotations
 
 import json
+import os
 import re
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -244,12 +245,18 @@ def _read_scan_csv(path: str, theta: Optional[float]) -> FringeScan:
     file whose lines end in a lone \\r is read as one piece. Each distinct
     theta text goes through float() once; only the selected theta's phase
     and counts cells are parsed, and other angles' runs of rows are never
-    decoded. Reading stops at the fringes summary header.
+    decoded. Reading stops at the fringes summary header. Each read asks
+    for at most the bytes the file has left.
     """
     reader = _ScanReader(path, theta)
     with open(path, "rb") as fh:
-        while piece := fh.read(_PIECE_BYTES):
-            if not reader.feed(_universal_newlines(piece + fh.readline())):
+        # read(n) allocates n bytes before reading, so n is at most what is
+        # left; a pipe's size reads 0, so a pipe is read in whole pieces
+        left = os.fstat(fh.fileno()).st_size
+        while piece := fh.read(min(left, _PIECE_BYTES) if left > 0 else _PIECE_BYTES):
+            piece += fh.readline()
+            left -= len(piece)
+            if not reader.feed(_universal_newlines(piece)):
                 break
     phases, counts, selected = reader.phases, reader.counts, reader.selected
     if not phases and selected:

@@ -16,12 +16,12 @@ and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per call; derived_rng(seed, i) returns that stream. Neither it nor
-_draw_totals reads OS entropy: each seeds its Philox from that SeedSequence
-and then assigns a plain-int (k, i) state. _draw_totals builds one Philox per
-call and rewrites word 1 of the key of one state dict before each point, so
-a point costs one state assignment and its draws, and every output byte is
-the same as with one derived_rng per point. A point's count depends only on
+once per call; derived_rng(seed, i) returns that stream. Both it and
+_draw_totals take their Philox and its (k, 0) state from _keyed_stream,
+which reads no OS entropy, and write only the point word i of the key.
+_draw_totals does so once per call and assigns the state before each point,
+so a point costs one state assignment and its draws, and every output byte
+is the same as with one derived_rng per point. A point's count depends only on
 the seed, its index and its click probability, so identical inputs give
 bit-identical counts regardless of evaluation order.
 """
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._validate import non_negative
+from ._validate import non_negative, uint64
 from .bench import (
     AbsorberSpec,
     BenchConfig,
@@ -48,46 +48,40 @@ from .exceptions import DomainError
 SeedLike = Union[int, Sequence[int]]
 
 
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+def _keyed_stream(seed: SeedLike) -> tuple[np.random.Generator, dict]:
+    """A Generator on the seed's Philox, and the state dict of its (k, 0) stream.
+
+    The Philox is seeded from the seed's own SeedSequence, so no OS entropy
+    is read (Philox(key=...) would read it for a seed sequence that the key
+    then discards). The state holds plain Python ints: set word 1 of its key
+    to i and assign it to the bit generator to start the stream of point i.
+    """
     if isinstance(seed, (int, np.integer)):
         parts = (int(seed),)
     else:
         parts = tuple(int(s) for s in seed)
     for s in parts:
-        if s < 0 or s >= 2**64:
-            raise DomainError(f"seed entries must be unsigned 64-bit, got {s}")
-    return np.random.SeedSequence(parts)
-
-
-def _stream_key(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _philox_state(key: int, index: int) -> dict:
-    return {
+        uint64("seed entries", s)
+    seq = np.random.SeedSequence(parts)
+    key = int(seq.generate_state(1, np.uint64)[0])
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [key, index]},
+        "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    return np.random.Generator(np.random.Philox(seq)), state
 
 
 def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
-    """Generator of point `index` of the given base seed: Philox keyed (k, index).
-
-    The Philox is seeded from the seed's own SeedSequence, as _draw_totals
-    does, and its state then set to the (k, index) stream: Philox(key=...)
-    would read OS entropy for a seed sequence that the key then discards.
-    """
-    index = int(index)
-    if index < 0 or index >= 2**64:
-        raise DomainError(f"stream index must be unsigned 64-bit, got {index}")
-    seq = _seed_sequence(seed)
-    bitgen = np.random.Philox(seq)
-    bitgen.state = _philox_state(_stream_key(seq), index)
-    return np.random.Generator(bitgen)
+    """Generator of point `index` of the given base seed: Philox keyed (k, index)."""
+    index = uint64("stream index", index)
+    rng, state = _keyed_stream(seed)
+    state["state"]["key"][1] = index
+    rng.bit_generator.state = state
+    return rng
 
 
 @dataclass(frozen=True)
@@ -178,17 +172,15 @@ def _draw_totals(
     """Detections of each point summed over `windows` windows, as float64.
 
     Point i draws from the stream derived_rng(seed, i) returns: one variate
-    for the signal, then one for the background. One Philox, seeded from the
-    scan's SeedSequence (no OS entropy), and one state dict of plain Python
-    ints (counter, key and buffer as lists) are built per call. Before each
-    point, word 1 of the key list is set to i and the dict is assigned, which
-    resets the counter and buffer to a fresh (k, i) stream. Totals are exact
-    int sums made float64 once, so every output byte is as with derived_rng.
+    for the signal, then one for the background. _keyed_stream is called
+    once per call; before each point, word 1 of its state's key is set to i
+    and the state is assigned, which resets the counter and buffer to a
+    fresh (k, i) stream. Totals are exact int sums made float64 once, so
+    every output byte is as with derived_rng.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
-    seq = _seed_sequence(seed)
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng, state = _keyed_stream(seed)
     bitgen = rng.bit_generator
     if isinstance(source, HeraldedSource):
         trials = source.pairs_per_window * int(windows)
@@ -199,7 +191,6 @@ def _draw_totals(
     else:
         raise DomainError(f"unknown source model {source!r}")
     background = windows * source.background_rate
-    state = _philox_state(_stream_key(seq), 0)
     key = state["state"]["key"]
     totals = []
     try:

@@ -105,12 +105,14 @@ def test_fit_fringe_noiseless_recovers_generating_visibility():
             dphi = (res.fit_phase - phase0 + math.pi) % (2 * math.pi) - math.pi
             assert abs(dphi) < 1e-6
     # rounding leaves a residual of ~1e-16 of the counts, over five Poisson
-    # sigmas above ~1e33 counts; it must not send the fit to the extrema
+    # sigmas above ~1e33 counts; it must not send the fit to the extrema,
+    # and sigma_V must cover the rounding in V itself
     for a in (1e33, 1e100, 1e150):
         for v in (0.0, 0.5, 0.93):
             res = fit_fringe(noiseless_scan(a, a * v, 0.3))
             assert not res.used_fallback
             assert res.visibility == pytest.approx(v, abs=1e-12)
+            assert abs(res.visibility - v) <= 3.0 * res.std_error
 
 
 def test_fit_fringe_constant_data():

@@ -201,10 +201,18 @@ def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
     # --background changes the Monte Carlo column, so sweep-mu records it
     sweep = tmp_path / "sweep"
     assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "-o", sweep]) == 0
-    assert "background=2.0" in sweep.read_text().splitlines()[1].split()
+    assert {"background=2.0", "mu_grid=0:1:3"} <= set(sweep.read_text().splitlines()[1].split())
     assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "--format", "json",
                 "-o", sweep]) == 0
-    assert json.loads(sweep.read_text())["config"]["background"] == 2.0
+    config = json.loads(sweep.read_text())["config"]
+    assert config["background"] == 2.0 and config["mu_grid"] == "0:1:3"
+    assert "calibration" not in config and "positions" not in config
+    # so are the mu values, from a grid or from a table at given positions
+    table = "data/calibration_synthetic_635nm.csv"
+    assert run(["sweep-mu", "--calibration", table, "--positions", "0:12:4", "-o", sweep]) == 0
+    keys = set(sweep.read_text().splitlines()[1].split())
+    assert {f"calibration={table}", "positions=0:12:4"} <= keys
+    assert not any(key.startswith("mu_grid=") for key in keys)
     capsys.readouterr()
 
 
@@ -458,15 +466,36 @@ def test_dropped_absorber_flags_and_a_missing_purity_are_refused(tmp_path, capsy
     no_object = "--delta needs an object: give --mu, or --mu1 with --mu2"
     cfg = tmp_path / "delta.cfg"
     cfg.write_text("delta=pi/3\n")
-    for flags, reason in (
-        (["--mu1", 0.3], "--mu1 requires --mu2"),
-        (["--mu", 0.3, "--mu1", 0.5, "--mu2", 0.7], both),
-        (["--mu", 0.3, "--mu1", 0.5], both),
-        (["--mu", 0.3, "--mu2", 0.5], both),
-        (["--delta", "junk"], no_object),
-        (["--config", cfg], no_object),
+    # a source flag of the other source, on the command line or in a --config file
+    pairs = "--pairs cannot be used with --source coherent: it sets a heralded source"
+    nbar = "--nbar cannot be used with --source heralded: it sets a coherent source"
+    pairs_cfg, nbar_cfg = tmp_path / "pairs.cfg", tmp_path / "nbar.cfg"
+    pairs_cfg.write_text("source=coherent\npairs=5\n")
+    nbar_cfg.write_text("nbar=50\n")
+    table = "data/calibration_synthetic_635nm.csv"
+    for argv, reason in (
+        (["fringes", "--mu1", 0.3], "--mu1 requires --mu2"),
+        (["fringes", "--mu", 0.3, "--mu1", 0.5, "--mu2", 0.7], both),
+        (["fringes", "--mu", 0.3, "--mu1", 0.5], both),
+        (["fringes", "--mu", 0.3, "--mu2", 0.5], both),
+        (["fringes", "--delta", "junk"], no_object),
+        (["fringes", "--config", cfg], no_object),
+        (["fringes", "--source", "coherent", "--pairs", 5, "--thetas", "pi/4"], pairs),
+        (["fringes", "--nbar", 50], nbar),
+        (["fringes", "--config", pairs_cfg], pairs),
+        (["sweep-mu", "--mu-grid", "0:1:3", "--source", "coherent", "--pairs", 5], pairs),
+        (["sweep-mu", "--mu-grid", "0:1:3", "--config", nbar_cfg], nbar),
+        # one source of mu values; the older messages keep their precedence
+        (["sweep-mu", "--mu-grid", "0:1:3", "--calibration", table, "--positions", "0:12:3"],
+         "--mu-grid cannot be used with --calibration: both set the mu values"),
+        (["sweep-mu", "--mu-grid", "0:1:3", "--positions", "0:12:3"],
+         "--positions needs --calibration: it selects points of a calibration table"),
+        (["sweep-mu", "--mu-grid", "0:1:3", "--calibration", table],
+         "--calibration requires --positions start:stop:count"),
+        (["sweep-mu", "--positions", "0:12:3"],
+         "provide --mu-grid or --calibration with --positions"),
     ):
-        assert run(["fringes", *flags, "-o", out]) == 3
+        assert run([*argv, "-o", out]) == 3
         assert f"error: {reason}" in capsys.readouterr().err
         assert not out.exists()
     # estimate refuses a missing purity before it opens the scan

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qinterro import _validate
-from qinterro._validate import finite, non_negative, unit_interval
+from qinterro._validate import below_one, finite, non_negative, uint64, unit_interval
 from qinterro.exceptions import DomainError
 
 NAN, INF = math.nan, math.inf
@@ -38,13 +38,34 @@ def test_non_negative_edges():
             non_negative("nbar", x)
 
 
+def test_below_one_edges():
+    for x in (0, 0.5, 5e-324, math.nextafter(1.0, 0.0)):
+        assert below_one("lambda_total", x) == float(x)
+    for x in (-5e-324, 1, 1.0, NAN, INF, -INF):
+        with pytest.raises(DomainError, match=r"^lambda_total must be in \[0, 1\), got"):
+            below_one("lambda_total", x)
+    with pytest.raises(DomainError) as exc:
+        below_one("lambda_total", 1)
+    assert str(exc.value) == "lambda_total must be in [0, 1), got 1"  # named as given
+
+
+def test_uint64_edges():
+    for x in (0, 2**64 - 1, 3.0):
+        assert uint64("stream index", x) == int(x)
+    for x in (-1, 2**64):
+        with pytest.raises(DomainError) as exc:
+            uint64("stream index", x)
+        assert str(exc.value) == f"stream index must be unsigned 64-bit, got {x}"
+
+
 def test_unit_interval_message_lives_in_one_module():
     # Range checks go through _validate so that every entry point reports
     # the same message; a hand-written copy elsewhere would drift.
     package = Path(_validate.__file__).parent
-    offenders = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if path.name != "_validate.py" and "must be in [0, 1]" in path.read_text()
-    ]
-    assert offenders == []
+    for message in ("must be in [0, 1]", "must be in [0, 1)", "must be unsigned 64-bit"):
+        offenders = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if path.name != "_validate.py" and message in path.read_text()
+        ]
+        assert offenders == [], message
