@@ -33,29 +33,36 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class VisibilityResult:
-    """Fringe visibility with its fitted sinusoid and propagated error."""
+    """Fringe visibility from a fitted offset a and amplitude b.
 
-    visibility: float
+    The fringe is a + b cos(phase - fit_phase); V = b/a and the extrema
+    a +- b are derived from the two stored parameters. With used_fallback
+    set, a and b are the midpoint and half-range of the raw extreme counts.
+    """
+
     std_error: float
-    d_max: float
-    d_min: float
     fit_offset: float
     fit_amplitude: float
     fit_phase: float
     used_fallback: bool = False
 
     def __post_init__(self):
-        if self.d_min < 0.0 or self.d_max < self.d_min:
+        if not 0.0 <= self.fit_amplitude <= self.fit_offset:
             raise InternalConsistencyError(
-                f"extrema out of order: d_max={self.d_max}, d_min={self.d_min}"
+                f"amplitude {self.fit_amplitude} outside [0, offset {self.fit_offset}]"
             )
-        total = self.d_max + self.d_min
-        if total > 0.0:
-            v = (self.d_max - self.d_min) / total
-            if abs(v - self.visibility) > 1e-12:
-                raise InternalConsistencyError(
-                    "stored visibility disagrees with stored extrema"
-                )
+
+    @property
+    def visibility(self) -> float:
+        return self.fit_amplitude / self.fit_offset
+
+    @property
+    def d_max(self) -> float:
+        return self.fit_offset + self.fit_amplitude
+
+    @property
+    def d_min(self) -> float:
+        return self.fit_offset - self.fit_amplitude
 
 
 def visibility_from_extrema(d_max: float, d_min: float) -> float:
@@ -70,27 +77,18 @@ def visibility_from_extrema(d_max: float, d_min: float) -> float:
     return (d_max - d_min) / total
 
 
-def _extrema_result(scan: FringeScan) -> VisibilityResult:
+def _extrema_fit(scan: FringeScan) -> tuple[float, float, float, float]:
+    """Offset, amplitude, phase and Poisson sigma_V from the two extreme bins."""
     counts = scan.counts
     i_max = int(np.argmax(counts))
     d_max = float(counts[i_max])
     d_min = float(counts.min())
     if d_max + d_min == 0.0:
         raise UndefinedVisibilityError("all counts are zero")
-    v = (d_max - d_min) / (d_max + d_min)
     # Poisson errors on the two extreme bins propagated through the ratio.
     total_sq = (d_max + d_min) ** 2
     var = (2.0 * d_min / total_sq) ** 2 * d_max + (2.0 * d_max / total_sq) ** 2 * d_min
-    return VisibilityResult(
-        visibility=v,
-        std_error=math.sqrt(var),
-        d_max=d_max,
-        d_min=d_min,
-        fit_offset=0.5 * (d_max + d_min),
-        fit_amplitude=0.5 * (d_max - d_min),
-        fit_phase=float(scan.phases[i_max]),
-        used_fallback=True,
-    )
+    return 0.5 * (d_max + d_min), 0.5 * (d_max - d_min), float(scan.phases[i_max]), math.sqrt(var)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge counts end in ArithmeticError instead
@@ -101,13 +99,14 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     (a, b cos phase0, b sin phase0). One SVD of the design matrix gives the
     rank check, the parameters and their unweighted least-squares covariance,
     propagated from Poisson variances sigma_k^2 = counts_k; sigma_V from V = b/a.
-    sigma_V is floored at eps (1 + V), the rounding in V itself, which the
-    Poisson sigma_V falls below past ~1e30 counts per point on 25 points.
 
     If the rms residual exceeds _FALLBACK_RESIDUAL_SIGMAS Poisson sigmas of
     the mean count level (and 64 eps max(counts), past what rounding leaves),
-    or the fitted offset or amplitude is unusable, the raw extrema are
-    reported instead with used_fallback set.
+    or the fitted offset or amplitude is unusable, the raw extrema give a and
+    b instead (midpoint and half-range, with their two-bin Poisson sigma_V)
+    and used_fallback is set. Either way sigma_V is floored at eps (1 + V),
+    the rounding in V itself, which the Poisson sigma_V falls below past
+    ~1e30 counts per point on 25 points.
     """
     if len(scan) < 4:
         raise DomainError(f"need at least 4 scan points, got {len(scan)}")
@@ -130,33 +129,29 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     sigmas = _FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0)
     threshold = max(sigmas, 64.0 * np.finfo(float).eps * float(y.max()))
 
-    if rms > threshold or a <= 0.0 or b > a * (1.0 + 1e-9):
-        return _extrema_result(scan)
-    if b > a:
-        b = a  # numerical guard for an exactly saturated fringe
-
-    # Covariance of beta for the unweighted estimator with heteroscedastic
-    # Poisson noise: (X^T X)^-1 X^T diag(sigma^2) X (X^T X)^-1.
-    cov = pinv @ (pinv * np.maximum(y, 0.0)).T
-    var_a = float(cov[0, 0])
-    if b > 0.0:
-        jac = np.array([p / b, q / b])
-        var_b = float(jac @ cov[1:, 1:] @ jac)
+    fallback = bool(rms > threshold or a <= 0.0 or b > a * (1.0 + 1e-9))
+    if fallback:
+        a, b, phase, std_error = _extrema_fit(scan)
     else:
-        var_b = 0.5 * float(cov[1, 1] + cov[2, 2])
-    v = b / a
-    # Same algebra as V sqrt((sb/b)^2 + (sa/a)^2) but finite at b = 0.
-    std_error = math.sqrt(max(var_b, 0.0) / a**2 + (b * math.sqrt(max(var_a, 0.0)) / a**2) ** 2)
-    std_error = max(std_error, math.ulp(1.0) * (1.0 + v))
+        b = min(b, a)  # numerical guard for an exactly saturated fringe
+        phase = math.atan2(q, p)
+        # Covariance of beta for the unweighted estimator with heteroscedastic
+        # Poisson noise: (X^T X)^-1 X^T diag(sigma^2) X (X^T X)^-1.
+        cov = pinv @ (pinv * np.maximum(y, 0.0)).T
+        var_a = float(cov[0, 0])
+        if b > 0.0:
+            jac = np.array([p / b, q / b])
+            var_b = float(jac @ cov[1:, 1:] @ jac)
+        else:
+            var_b = 0.5 * float(cov[1, 1] + cov[2, 2])
+        # Same algebra as V sqrt((sb/b)^2 + (sa/a)^2) but finite at b = 0.
+        std_error = math.sqrt(max(var_b, 0.0) / a**2 + (b * math.sqrt(max(var_a, 0.0)) / a**2) ** 2)
     return VisibilityResult(
-        visibility=v,
-        std_error=std_error,
-        d_max=a + b,
-        d_min=a - b,
+        std_error=max(std_error, math.ulp(1.0) * (1.0 + b / a)),
         fit_offset=a,
         fit_amplitude=b,
-        fit_phase=math.atan2(q, p),
-        used_fallback=False,
+        fit_phase=phase,
+        used_fallback=fallback,
     )
 
 
@@ -231,12 +226,18 @@ def estimate_mu_two_arm(
     return mu1 * y * y
 
 
+def _scale_fit(g: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    # least-squares eps in y = eps g, clamped to [0, 1], and the rmse there
+    eps = min(max(float(np.sum(g * y) / np.sum(g * g)), 0.0), 1.0)
+    return eps, float(np.sqrt(np.mean((y - eps * g) ** 2)))
+
+
 def fit_epsilon_iprob(data: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares purity from (mu, measured interrogation probability) pairs.
 
-    The model I(mu) = (1 - mu)/4 + eps/2 is linear in eps, so the minimizer
-    is the mean of 2 (I_i - (1 - mu_i)/4), clamped to [0, 1]. Returns
-    (epsilon_hat, rmse at the clamped value).
+    The model I(mu) = (1 - mu)/4 + eps/2 is linear in eps: I - (1 - mu)/4 =
+    eps/2, fitted as sum(g y)/sum(g^2) with g = 1/2 and clamped to [0, 1].
+    Returns (epsilon_hat, rmse at the clamped value).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
@@ -244,10 +245,7 @@ def fit_epsilon_iprob(data: Sequence[tuple[float, float]]) -> tuple[float, float
     mu, iprob = arr[:, 0], arr[:, 1]
     if (mu < 0).any() or (mu > 1).any():
         raise DomainError("mu values must lie in [0, 1]")
-    eps = float(np.mean(2.0 * (iprob - 0.25 * (1.0 - mu))))
-    eps = min(max(eps, 0.0), 1.0)
-    resid = iprob - 0.25 * (1.0 + 2.0 * eps - mu)
-    return eps, float(np.sqrt(np.mean(resid**2)))
+    return _scale_fit(np.full_like(mu, 0.5), iprob - 0.25 * (1.0 - mu))
 
 
 def fit_epsilon_visibility(
@@ -269,13 +267,9 @@ def fit_epsilon_visibility(
     with np.errstate(invalid="ignore", divide="ignore"):
         g = 2.0 * np.sqrt(mu1 * mu2) / (mu1 + mu2)
     g = np.where(mu1 + mu2 == 0.0, 0.0, g)
-    denom = float(np.sum(g * g))
-    if denom == 0.0:
+    if not g.any():
         raise DomainError("all points have zero model visibility; eps is undetermined")
-    eps = float(np.sum(g * vis) / denom)
-    eps = min(max(eps, 0.0), 1.0)
-    resid = vis - eps * g
-    return eps, float(np.sqrt(np.mean(resid**2)))
+    return _scale_fit(g, vis)
 
 
 def weak_value(theta: float, delta: float, mu: float) -> complex:

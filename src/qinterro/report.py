@@ -11,6 +11,7 @@ import json
 import os
 import re
 from typing import Iterable, Iterator, Optional, Sequence
+from urllib.parse import quote
 
 import numpy as np
 
@@ -48,8 +49,13 @@ def _fmt(value) -> str:
 
 
 def _config_comment(pairs: dict) -> str:
-    # no accepted flag text depends on its whitespace, and a newline would end the line
-    body = " ".join(f"{k}={''.join(str(pairs[k]).split())}" for k in sorted(pairs))
+    # No accepted flag text depends on its whitespace, and a newline would end
+    # the line, so it is dropped; a path needs its own, so it is percent-encoded
+    # instead (os.fsdecode(urllib.parse.unquote_to_bytes(value)) reads it back).
+    body = " ".join(
+        f"{k}={quote(os.fsencode(v)) if k == 'calibration' else ''.join(str(v).split())}"
+        for k, v in sorted(pairs.items())
+    )
     return f"# config: {body}"
 
 

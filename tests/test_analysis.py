@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from qinterro import jones
 from qinterro.analysis import (
+    VisibilityResult,
     estimate_mu,
     estimate_mu_two_arm,
     fit_epsilon_iprob,
@@ -33,6 +34,7 @@ from qinterro.bench import (
 from qinterro.exceptions import (
     DomainError,
     InfeasibleError,
+    InternalConsistencyError,
     QInterroError,
     UndefinedVisibilityError,
 )
@@ -124,11 +126,20 @@ def test_fit_fringe_constant_data():
 
 
 def test_fit_fringe_result_consistency():
-    res = fit_fringe(noiseless_scan(100.0, 40.0, 0.3))
-    assert res.d_max == pytest.approx(res.fit_offset + res.fit_amplitude, abs=1e-12)
-    assert res.d_min == pytest.approx(res.fit_offset - res.fit_amplitude, abs=1e-12)
-    total = res.d_max + res.d_min
-    assert res.visibility == pytest.approx((res.d_max - res.d_min) / total, abs=1e-12)
+    phases = np.linspace(0, 2 * math.pi, 40, endpoint=False)
+    square = FringeScan(phases=phases, counts=np.where(np.cos(phases) > 0, 4000.0, 100.0))
+    for scan, fallback in ((noiseless_scan(100.0, 40.0, 0.3), False), (square, True)):
+        res = fit_fringe(scan)
+        assert res.used_fallback is fallback
+        assert res.d_max == pytest.approx(res.fit_offset + res.fit_amplitude, abs=1e-12)
+        assert res.d_min == pytest.approx(res.fit_offset - res.fit_amplitude, abs=1e-12)
+        total = res.d_max + res.d_min
+        assert res.visibility == pytest.approx((res.d_max - res.d_min) / total, abs=1e-12)
+
+
+def test_visibility_result_refuses_amplitude_above_offset():
+    with pytest.raises(InternalConsistencyError, match="outside"):
+        VisibilityResult(std_error=0.1, fit_offset=1.0, fit_amplitude=1.5, fit_phase=0.0)
 
 
 def test_fit_fringe_poisson_single_run():
@@ -149,8 +160,12 @@ def test_fit_fringe_fallback_on_non_sinusoid():
     assert res.used_fallback
     assert res.d_max == 4000.0 and res.d_min == 100.0
     assert res.visibility == pytest.approx((4000 - 100) / (4100), abs=1e-12)
-    # the threshold's rounding floor must not hide a misfit at huge counts
-    assert fit_fringe(FringeScan(phases=phases, counts=counts * 1e150)).used_fallback
+    # the threshold's rounding floor must not hide a misfit at huge counts,
+    # and sigma_V must still cover the rounding in V itself
+    res = fit_fringe(FringeScan(phases=phases, counts=counts * 1e150))
+    assert res.used_fallback
+    assert res.std_error >= math.ulp(1.0) * (1.0 + res.visibility)
+    assert abs(res.visibility - 3900 / 4100) <= 3.0 * res.std_error
 
 
 def test_fit_fringe_input_validation():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -213,6 +214,16 @@ def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
     keys = set(sweep.read_text().splitlines()[1].split())
     assert {f"calibration={table}", "positions=0:12:4"} <= keys
     assert not any(key.startswith("mu_grid=") for key in keys)
+    # a path keeps its whitespace, percent-encoded, and the JSON config keeps it as given
+    spaced = tmp_path / "sp dir" / "my table.csv"
+    spaced.parent.mkdir()
+    shutil.copyfile(table, spaced)
+    assert run(["sweep-mu", "--calibration", spaced, "--positions", "0:12:3", "-o", sweep]) == 0
+    keys = set(sweep.read_text().splitlines()[1].split())
+    assert f"calibration={tmp_path}/sp%20dir/my%20table.csv" in keys
+    assert run(["sweep-mu", "--calibration", spaced, "--positions", "0:12:3",
+                "--format", "json", "-o", sweep]) == 0
+    assert json.loads(sweep.read_text())["config"]["calibration"] == str(spaced)
     capsys.readouterr()
 
 
