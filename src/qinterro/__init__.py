@@ -10,7 +10,6 @@ from .analysis import (
     fit_epsilon_visibility,
     fit_fringe,
     nonunitary_expectation_visibility,
-    visibility_from_extrema,
     visibility_no_absorber,
     visibility_one_arm,
     visibility_two_arm,
@@ -53,13 +52,7 @@ from .jones import (
     relative_phase,
     two_arm_absorber,
 )
-from .noise import (
-    augment_with_reflection,
-    detection_with_reflectivity,
-    dmax_with_jitter,
-    i_prob_jitter,
-    i_prob_reflectivity,
-)
+from .noise import i_prob_jitter, i_prob_reflectivity
 from .schemes import (
     METRIC_FOOTNOTE,
     SchemeComparison,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import jones
 from ._validate import finite, unit_interval
+from .bench import _QUARTER_PI, _fringe, i_prob
 from .exceptions import (
     DomainError,
     InfeasibleError,
@@ -47,9 +48,10 @@ class VisibilityResult:
     used_fallback: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.fit_amplitude <= self.fit_offset:
+        if not 0.0 <= self.fit_amplitude <= self.fit_offset or self.fit_offset == 0.0:
             raise InternalConsistencyError(
-                f"amplitude {self.fit_amplitude} outside [0, offset {self.fit_offset}]"
+                f"amplitude {self.fit_amplitude} outside [0, offset {self.fit_offset}], "
+                "or a zero offset"
             )
 
     @property
@@ -63,18 +65,6 @@ class VisibilityResult:
     @property
     def d_min(self) -> float:
         return self.fit_offset - self.fit_amplitude
-
-
-def visibility_from_extrema(d_max: float, d_min: float) -> float:
-    """(d_max - d_min)/(d_max + d_min) for measured fringe extremes."""
-    finite("d_max", d_max)
-    finite("d_min", d_min)
-    if d_min < 0.0 or d_max < d_min:
-        raise DomainError(f"need d_max >= d_min >= 0, got ({d_max}, {d_min})")
-    total = d_max + d_min
-    if total == 0.0:
-        raise UndefinedVisibilityError("both extrema are zero")
-    return (d_max - d_min) / total
 
 
 def _extrema_fit(scan: FringeScan) -> tuple[float, float, float, float]:
@@ -126,8 +116,8 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
     b = math.hypot(p, q)
     rms = math.sqrt(float(np.mean((y - x @ beta) ** 2)))
     # rounding leaves up to ~13 eps max(y), over five Poisson sigmas above ~1e33 counts
-    sigmas = _FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0)
-    threshold = max(sigmas, 64.0 * np.finfo(float).eps * float(y.max()))
+    rounding = 64.0 * np.finfo(float).eps * float(y.max())
+    threshold = max(_FALLBACK_RESIDUAL_SIGMAS * math.sqrt(float(np.mean(y)) + 1.0), rounding)
 
     fallback = bool(rms > threshold or a <= 0.0 or b > a * (1.0 + 1e-9))
     if fallback:
@@ -139,10 +129,10 @@ def fit_fringe(scan: FringeScan) -> VisibilityResult:
         # Poisson noise: (X^T X)^-1 X^T diag(sigma^2) X (X^T X)^-1.
         cov = pinv @ (pinv * np.maximum(y, 0.0)).T
         var_a = float(cov[0, 0])
-        if b > 0.0:
+        if b > rounding:
             jac = np.array([p / b, q / b])
             var_b = float(jac @ cov[1:, 1:] @ jac)
-        else:
+        else:  # (p, q)/b is rounding noise: average over the directions
             var_b = 0.5 * float(cov[1, 1] + cov[2, 2])
         # Same algebra as V sqrt((sb/b)^2 + (sa/a)^2) but finite at b = 0.
         std_error = math.sqrt(max(var_b, 0.0) / a**2 + (b * math.sqrt(max(var_a, 0.0)) / a**2) ** 2)
@@ -159,7 +149,8 @@ def visibility_no_absorber(theta: float, epsilon: float) -> float:
     """Fringe visibility with an empty bench: eps |sin 2 theta|."""
     unit_interval("epsilon", epsilon)
     finite("theta", theta)
-    return epsilon * abs(math.sin(2.0 * theta))
+    offset, amplitude = _fringe(theta, 1.0, 1.0, epsilon)
+    return amplitude / offset
 
 
 def visibility_one_arm(mu: float, epsilon: float) -> float:
@@ -175,7 +166,9 @@ def visibility_two_arm(mu1: float, mu2: float, epsilon: float) -> float:
     unit_interval("epsilon", epsilon)
     if mu1 + mu2 == 0.0:
         raise UndefinedVisibilityError("both arms are fully opaque")
-    return 2.0 * epsilon * math.sqrt(mu1 * mu2) / (mu1 + mu2)
+    offset, amplitude = _fringe(_QUARTER_PI, mu1, mu2, epsilon)
+    # the offset underflows to 0 only for subnormal mu, where mu1 mu2 already has
+    return amplitude / offset if offset else 0.0
 
 
 def _branch_root(visibility: float, epsilon: float, larger: bool) -> float:
@@ -235,7 +228,7 @@ def _scale_fit(g: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def fit_epsilon_iprob(data: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares purity from (mu, measured interrogation probability) pairs.
 
-    The model I(mu) = (1 - mu)/4 + eps/2 is linear in eps: I - (1 - mu)/4 =
+    The model I(mu) = i_prob(mu, 0) + eps/2 is linear in eps: I - (1 - mu)/4 =
     eps/2, fitted as sum(g y)/sum(g^2) with g = 1/2 and clamped to [0, 1].
     Returns (epsilon_hat, rmse at the clamped value).
     """
@@ -243,9 +236,10 @@ def fit_epsilon_iprob(data: Sequence[tuple[float, float]]) -> tuple[float, float
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DomainError("need at least 2 (mu, i_prob) pairs")
     mu, iprob = arr[:, 0], arr[:, 1]
-    if (mu < 0).any() or (mu > 1).any():
-        raise DomainError("mu values must lie in [0, 1]")
-    return _scale_fit(np.full_like(mu, 0.5), iprob - 0.25 * (1.0 - mu))
+    base = np.array([i_prob(m, 0.0) for m in mu])
+    for value in iprob:
+        finite("i_prob", value)
+    return _scale_fit(np.full_like(mu, 0.5), iprob - base)
 
 
 def fit_epsilon_visibility(
@@ -253,20 +247,20 @@ def fit_epsilon_visibility(
 ) -> tuple[float, float]:
     """Least-squares purity from (mu2, visibility) pairs at fixed mu1.
 
-    The model V = eps g(mu2) with g = 2 sqrt(mu1 mu2)/(mu1 + mu2) is linear
-    in eps; the minimizer is sum(g V)/sum(g^2), clamped to [0, 1]. Returns
-    (epsilon_hat, rmse at the clamped value).
+    The model V = eps g(mu2) with g = visibility_two_arm(mu1, mu2, 1) is
+    linear in eps; the minimizer is sum(g V)/sum(g^2), clamped to [0, 1].
+    Returns (epsilon_hat, rmse at the clamped value).
     """
     unit_interval("mu1", mu1)
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise DomainError("need at least 1 (mu2, visibility) pair")
+    for m, value in arr:
+        unit_interval("mu2", m)
+        finite("visibility", value)
     mu2, vis = arr[:, 0], arr[:, 1]
-    if (mu2 < 0).any() or (mu2 > 1).any():
-        raise DomainError("mu2 values must lie in [0, 1]")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = 2.0 * np.sqrt(mu1 * mu2) / (mu1 + mu2)
-    g = np.where(mu1 + mu2 == 0.0, 0.0, g)
+    # visibility_two_arm at eps = 1; a row with both arms opaque carries no eps
+    g = np.array([visibility_two_arm(mu1, m, 1.0) if mu1 + m else 0.0 for m in mu2])
     if not g.any():
         raise DomainError("all points have zero model visibility; eps is undetermined")
     return _scale_fit(g, vis)
@@ -299,8 +293,14 @@ def weak_value_detection_identity(phase: float, mu: float) -> float:
 
 
 def weak_value_visibility(mu: float) -> float:
-    """Visibility implied by the weak-value picture: 2 sqrt(mu)/(1 + mu)."""
-    return visibility_one_arm(mu, 1.0)
+    """Visibility implied by the weak-value picture: 2 sqrt(mu)/(1 + mu).
+
+    Read off the extrema of |weak value|^2 at theta = pi/4, phase 0 and pi,
+    as (hi - lo)/(hi + lo), without the visibility laws.
+    """
+    hi = abs(weak_value(_QUARTER_PI, 0.0, mu)) ** 2
+    lo = abs(weak_value(_QUARTER_PI, math.pi, mu)) ** 2
+    return (hi - lo) / (hi + lo)
 
 
 @dataclass(frozen=True)

@@ -182,15 +182,27 @@ def detection_prob(
     return float(detection_probs(cfg, absorber, [cfg.phi2])[0])
 
 
+def _fringe(theta: float, mu1: float, mu2: float, epsilon: float) -> tuple[float, float]:
+    """Offset and amplitude of the bench fringe at the polarizer angle theta.
+
+    p(phi) = offset + amplitude cos phi, with offset (c^2 mu2 + s^2 mu1)/2 and
+    amplitude eps |c s| sqrt(mu1 mu2) for c, s = cos theta, sin theta and path
+    transmittances mu1 (H) and mu2 (V); where c s < 0 the fringe's phase
+    shifts by pi. Callers check the arguments, each with its own names.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    return 0.5 * (mu2 * c * c + mu1 * s * s), epsilon * abs(c * s) * math.sqrt(mu1 * mu2)
+
+
 def detection_prob_washed(mu: float, theta_post: float = _QUARTER_PI) -> float:
     """Detection probability when the fringe is fully washed out.
 
-    With no interference term the two paths add incoherently:
-    (mu cos^2 theta + sin^2 theta) / 2, which is (1 + mu)/4 at theta = pi/4.
+    With no interference term the two paths add incoherently: the fringe's
+    offset (mu cos^2 theta + sin^2 theta) / 2, which is (1 + mu)/4 at theta = pi/4.
     """
     unit_interval("mu", mu)
-    c, s = math.cos(theta_post), math.sin(theta_post)
-    return 0.5 * (mu * c * c + s * s)
+    finite("theta_post", theta_post)
+    return _fringe(theta_post, 1.0, mu, 0.0)[0]
 
 
 def two_arm_detection(mu1: float, mu2: float, epsilon: float, phi: float) -> float:
@@ -203,7 +215,8 @@ def two_arm_detection(mu1: float, mu2: float, epsilon: float, phi: float) -> flo
     unit_interval("mu2", mu2)
     unit_interval("epsilon", epsilon)
     finite("phi", phi)
-    return 0.25 * (mu1 + mu2 + 2.0 * epsilon * math.sqrt(mu1 * mu2) * math.cos(phi))
+    offset, amplitude = _fringe(_QUARTER_PI, mu1, mu2, epsilon)
+    return offset + amplitude * math.cos(phi)
 
 
 def i_prob(mu: float, epsilon: float) -> float:
@@ -216,4 +229,5 @@ def i_prob(mu: float, epsilon: float) -> float:
     """
     unit_interval("mu", mu)
     unit_interval("epsilon", epsilon)
+    # the paper's form: as bright minus washed-out fringe it is 0.7000000000000001 at mu = 0.2
     return 0.25 * (1.0 + 2.0 * epsilon - mu)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -16,7 +17,6 @@ from qinterro.analysis import (
     fit_epsilon_visibility,
     fit_fringe,
     nonunitary_expectation_visibility,
-    visibility_from_extrema,
     visibility_no_absorber,
     visibility_one_arm,
     visibility_two_arm,
@@ -76,16 +76,6 @@ def noiseless_scan(a, b, phase0, n=25):
     return FringeScan(phases=phases, counts=counts)
 
 
-def test_visibility_from_extrema_example():
-    assert visibility_from_extrema(0.941, 0.059) == pytest.approx(0.882, abs=1e-12)
-    with pytest.raises(UndefinedVisibilityError):
-        visibility_from_extrema(0.0, 0.0)
-    with pytest.raises(DomainError):
-        visibility_from_extrema(0.5, -0.1)
-    with pytest.raises(DomainError):
-        visibility_from_extrema(0.1, 0.5)
-
-
 def test_fit_fringe_noiseless_saturated():
     scan = noiseless_scan(50.0, 50.0, 0.0)
     res = fit_fringe(scan)
@@ -140,6 +130,23 @@ def test_fit_fringe_result_consistency():
 def test_visibility_result_refuses_amplitude_above_offset():
     with pytest.raises(InternalConsistencyError, match="outside"):
         VisibilityResult(std_error=0.1, fit_offset=1.0, fit_amplitude=1.5, fit_phase=0.0)
+
+
+def test_visibility_result_refuses_zero_offset():
+    with pytest.raises(InternalConsistencyError, match="zero offset"):
+        VisibilityResult(std_error=0.1, fit_offset=0.0, fit_amplitude=0.0, fit_phase=0.0)
+
+
+def test_fit_fringe_flat_counts_sigma_does_not_depend_on_row_order():
+    # at rounding-level amplitude the fringe's direction is noise, so sigma_V
+    # must come from the direction-free branch, the same in every order
+    phases = np.random.default_rng(29).uniform(-10.0, 10.0, 4)
+    errors = [
+        fit_fringe(FringeScan(phases=phases[list(order)], counts=np.full(4, 41.0))).std_error
+        for order in itertools.permutations(range(4))
+    ]
+    assert len(errors) == 24
+    assert max(errors) == pytest.approx(min(errors), rel=1e-12)
 
 
 def test_fit_fringe_poisson_single_run():
@@ -409,6 +416,20 @@ def test_fit_epsilon_iprob_noisy_and_clamped():
         fit_epsilon_iprob([(0.5, 0.6)])
     with pytest.raises(DomainError):
         fit_epsilon_iprob([(1.5, 0.6), (0.5, 0.6)])
+
+
+def test_purity_fits_refuse_nan_in_either_column():
+    nan = float("nan")
+    cases = [
+        (lambda: fit_epsilon_iprob([(nan, 0.5), (0.5, 0.6)]), "mu must be in [0, 1], got nan"),
+        (lambda: fit_epsilon_iprob([(0.5, nan), (0.5, 0.6)]), "i_prob must be finite, got nan"),
+        (lambda: fit_epsilon_visibility([(nan, 0.5)], 0.5), "mu2 must be in [0, 1], got nan"),
+        (lambda: fit_epsilon_visibility([(0.5, nan)], 0.5), "visibility must be finite, got nan"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_fit_epsilon_visibility_exact_recovery():

@@ -218,6 +218,12 @@ def test_detection_prob_washed():
         assert got == pytest.approx(detection_prob_washed(mu, theta), abs=1e-12)
 
 
+def test_detection_prob_washed_refuses_nonfinite_theta():
+    for theta in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(DomainError, match="theta_post must be finite"):
+            detection_prob_washed(0.5, theta)
+
+
 def test_two_arm_detection_examples_and_equivalence():
     assert two_arm_detection(0.861, 0.861, 1.0, 0.0) == pytest.approx(0.861, abs=1e-12)
     for _ in range(200):
