@@ -189,9 +189,13 @@ def _fringe(theta: float, mu1: float, mu2: float, epsilon: float) -> tuple[float
     amplitude eps |c s| sqrt(mu1 mu2) for c, s = cos theta, sin theta and path
     transmittances mu1 (H) and mu2 (V); where c s < 0 the fringe's phase
     shifts by pi. Callers check the arguments, each with its own names.
+    At the bench's standard angle pi/4 the offset is (mu1 + mu2)/4, as
+    c^2 = s^2 = 1/2 exactly, so the law is symmetric in mu1 and mu2 bit for
+    bit; cos and sin of the float pi/4 square to 1/2 + 1e-16 and 1/2 - 1e-16.
     """
     c, s = math.cos(theta), math.sin(theta)
-    return 0.5 * (mu2 * c * c + mu1 * s * s), epsilon * abs(c * s) * math.sqrt(mu1 * mu2)
+    offset = 0.25 * (mu1 + mu2) if theta == _QUARTER_PI else 0.5 * (mu2 * c * c + mu1 * s * s)
+    return offset, epsilon * abs(c * s) * math.sqrt(mu1 * mu2)
 
 
 def detection_prob_washed(mu: float, theta_post: float = _QUARTER_PI) -> float:

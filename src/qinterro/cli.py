@@ -117,42 +117,50 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _source_from_args(args) -> HeraldedSource | CoherentSource:
+    """The source; its rate flag, 800 when not given, is filled in for the record."""
     if args.source == "heralded":
         if args.nbar is not None:
             raise CliError(
                 "--nbar cannot be used with --source heralded: it sets a coherent source"
             )
-        pairs = 800 if args.pairs is None else args.pairs
-        return HeraldedSource(pairs_per_window=pairs, background_rate=args.background)
+        args.pairs = 800 if args.pairs is None else args.pairs
+        return HeraldedSource(pairs_per_window=args.pairs, background_rate=args.background)
     if args.pairs is not None:
         raise CliError(
             "--pairs cannot be used with --source coherent: it sets a heralded source"
         )
-    nbar = 800.0 if args.nbar is None else args.nbar
-    return CoherentSource(nbar=nbar, background_rate=args.background)
+    args.nbar = 800.0 if args.nbar is None else args.nbar
+    return CoherentSource(nbar=args.nbar, background_rate=args.background)
 
 
-def _run_record(args, source) -> dict:
-    """The # config: keys that fringes and sweep-mu both write."""
-    return {"source": args.source, "rate": source.mean_rate, "epsilon": args.epsilon,
-            "background": args.background, "windows": args.windows, "seed": args.seed}
+def _run_record(args) -> dict:
+    """The run record: every parsed flag that has a value, under its flag name.
+
+    argparse's own entries and the flags that say where the output goes are
+    left out. Read it after the resolvers have filled in the source's rate
+    flag and an object's delta in radians.
+    """
+    skip = ("command", "func", "config", "output", "format")
+    return {k: v for k, v in vars(args).items() if v is not None and k not in skip}
 
 
 def _absorber_from_args(args):
-    delta = "0" if args.delta is None else args.delta
+    """The object; its delta, 0 when not given, is filled in in radians for the record."""
     if args.mu1 is None and args.mu2 is None:
         if args.mu is None:
             if args.delta is not None:
                 raise CliError("--delta needs an object: give --mu, or --mu1 with --mu2")
             return NO_ABSORBER
-        return OneArmAbsorber(mu=args.mu, delta=parse_angle(delta))
-    if args.mu is not None:
+    elif args.mu is not None:
         raise CliError("--mu cannot be combined with --mu1/--mu2")
-    if args.mu1 is None:
+    elif args.mu1 is None:
         raise CliError("--mu2 requires --mu1")
-    if args.mu2 is None:
+    elif args.mu2 is None:
         raise CliError("--mu1 requires --mu2")
-    return TwoArmAbsorber(mu1=args.mu1, mu2=args.mu2, delta=parse_angle(delta))
+    args.delta = parse_angle("0" if args.delta is None else args.delta)
+    if args.mu is not None:
+        return OneArmAbsorber(mu=args.mu, delta=args.delta)
+    return TwoArmAbsorber(mu1=args.mu1, mu2=args.mu2, delta=args.delta)
 
 
 def cmd_fringes(args) -> int:
@@ -161,13 +169,6 @@ def cmd_fringes(args) -> int:
     thetas = parse_angle_list(args.thetas)
     grid = parse_grid(args.phase_grid)
 
-    meta = {
-        **_run_record(args, source),
-        "gamma": args.gamma,
-        "phase_grid": args.phase_grid,
-        "thetas": args.thetas,
-        **vars(absorber),  # mu, or mu1 and mu2, and delta; nothing without an object
-    }
     points = []
     summaries = []
     for k, theta in enumerate(thetas):
@@ -208,7 +209,9 @@ def cmd_fringes(args) -> int:
 
     _write_text(
         args.output,
-        _csv_section("qinterro.fringes/1", _FRINGES_COLUMNS, points, _config_comment(meta))
+        _csv_section(
+            "qinterro.fringes/1", _FRINGES_COLUMNS, points, _config_comment(_run_record(args))
+        )
         + _csv_section("qinterro.fringes.summary/1", _SUMMARY_COLUMNS, summaries),
     )
     print(f"wrote {args.output}")
@@ -234,25 +237,20 @@ def _mu_grid_from_args(args) -> np.ndarray:
     return grid
 
 
-def _write_report(args, schema: str, columns, rows, comment: str, **fields) -> None:
-    """Write a report as --format asks: JSON with fields, or CSV with the comment line."""
+def _write_report(args, schema: str, columns, rows, *comments: str, **fields) -> None:
+    """Write a report as --format asks: JSON with the fields and the run record
+    as config, or CSV with the comment lines and the record's # config: line."""
+    record = _run_record(args)
     if args.format == "json":
-        text = _json_report(schema, columns, rows, **fields)
+        text = _json_report(schema, columns, rows, config=record, **fields)
     else:
-        text = _csv_section(schema, columns, rows, comment)
+        text = _csv_section(schema, columns, rows, *comments, _config_comment(record))
     _write_text(args.output, text)
 
 
 def cmd_sweep_mu(args) -> int:
     source = _source_from_args(args)
     mu_grid = _mu_grid_from_args(args)
-
-    meta = {**_run_record(args, source), "lambda": args.lambda_total, "dphi2": args.dphi2}
-    # where the mu values came from, as given
-    if args.calibration is None:
-        meta["mu_grid"] = args.mu_grid
-    else:
-        meta.update(calibration=args.calibration, positions=args.positions)
     rows = []
     negative = []  # mu values whose i_prob_jitter is below 0
     for i, mu in enumerate(mu_grid):
@@ -261,7 +259,7 @@ def cmd_sweep_mu(args) -> int:
         measured = simulate_interrogation_prob(
             source, mu, windows=args.windows, seed=(args.seed, i), epsilon=args.epsilon
         )
-        with_refl = i_prob_reflectivity(mu, args.epsilon, args.lambda_total)
+        with_refl = i_prob_reflectivity(mu, args.epsilon, getattr(args, "lambda"))
         with_jitter = i_prob_jitter(mu, args.epsilon, args.dphi2)
         rows.append((mu, ideal, measured, with_refl, with_jitter))
         if with_jitter < 0.0:
@@ -275,9 +273,7 @@ def cmd_sweep_mu(args) -> int:
             file=sys.stderr,
         )
 
-    _write_report(
-        args, "qinterro.sweep_mu/1", _SWEEP_MU_COLUMNS, rows, _config_comment(meta), config=meta
-    )
+    _write_report(args, "qinterro.sweep_mu/1", _SWEEP_MU_COLUMNS, rows)
     print(f"wrote {args.output} ({len(rows)} points)")
     return EXIT_OK
 
@@ -437,8 +433,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--mu-grid", default=None, help="start:stop:count over [0, 1]")
     ps.add_argument("--calibration", default=None, help="calibration CSV path")
     ps.add_argument("--positions", default=None, help="start:stop:count in mm")
-    ps.add_argument("--lambda", dest="lambda_total", type=float, default=0.0,
-                    help="summed surface reflectivity")
+    ps.add_argument("--lambda", type=float, default=0.0, help="summed surface reflectivity")
     ps.add_argument("--dphi2", type=float, default=0.0, help="phase jitter variance, rad^2")
     _add_source_flags(ps)
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -473,6 +468,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# --config and the prefixes that argparse may take for it (--c is ambiguous in sweep-mu)
+_CONFIG_FLAGS = {"--config"[:n] for n in range(3, 9)}
+
+
 def _load_config_flags(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -489,28 +488,32 @@ def _load_config_flags(path: str) -> list[str]:
             raise CliError(
                 f"{path}:{line_number}: expected key=value, got {line!r}"
             )
-        key = key.strip().replace("_", "-")
-        flags.append(f"--{key}={value.strip()}")
+        flag = "--" + key.strip().replace("_", "-")
+        if flag in _CONFIG_FLAGS:
+            raise CliError(f"{path}:{line_number}: a config file cannot read another one")
+        flags.append(f"{flag}={value.strip()}")
     return flags
 
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Insert config-file values as flags right after the subcommand.
 
-    Explicit command-line flags come later in argv and therefore win.
+    Explicit command-line flags come later in argv and therefore win. Like
+    argparse, this takes a prefix of --config for the flag; a run reads one
+    config file.
     """
+    paths = []
     for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise CliError("--config needs a path")
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    else:
-        return argv
-    return [argv[0]] + _load_config_flags(path) + argv[1:]
+        flag, eq, path = tok.partition("=")
+        if flag in _CONFIG_FLAGS:
+            if not eq:
+                if i + 1 >= len(argv):
+                    raise CliError("--config needs a path")
+                path = argv[i + 1]
+            paths.append(path)
+    if len(paths) > 1:
+        raise CliError("--config is given more than once: a run reads one config file")
+    return [argv[0]] + _load_config_flags(paths[0]) + argv[1:] if paths else argv
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

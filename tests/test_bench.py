@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qinterro import bench, jones
+from qinterro.analysis import visibility_two_arm
 from qinterro.bench import (
     NO_ABSORBER,
     BenchConfig,
@@ -234,6 +235,18 @@ def test_two_arm_detection_examples_and_equivalence():
         cfg = BenchConfig(epsilon=eps, phi1=phi)
         got = detection_prob(cfg, TwoArmAbsorber(mu1, mu2, delta))
         assert got == pytest.approx(two_arm_detection(mu1, mu2, eps, phi), abs=1e-12)
+
+
+def test_two_arm_laws_are_symmetric_in_the_arms_bit_for_bit():
+    # the fringe law weighs both arms by exactly 1/2 at pi/4, where cos and
+    # sin of the float pi/4, squared, differ in the last bit
+    rng = np.random.default_rng(2727)
+    for mu1, mu2, eps, phi in rng.uniform(0, 1, size=(10_000, 4)).tolist():
+        phi *= 2 * math.pi
+        assert two_arm_detection(mu1, mu2, eps, phi) == two_arm_detection(mu2, mu1, eps, phi)
+        assert visibility_two_arm(mu1, mu2, eps) == visibility_two_arm(mu2, mu1, eps)
+    # the one-arm law is the two-arm law with the open arm at 1
+    assert detection_prob_washed(0.3) == two_arm_detection(0.3, 1.0, 0.0, 0.0)
 
 
 def test_i_prob_values():

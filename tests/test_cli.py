@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from urllib.parse import unquote_to_bytes
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[1] == (
         "# config: background=0.0 delta=1.0471975511965976 epsilon=1.0 gamma=1.0 mu=0.4 "
-        "phase_grid=0:2pi:9 rate=800.0 seed=42 source=heralded thetas=pi/4 windows=25"
+        "pairs=800 phase_grid=0:2pi:9 seed=42 source=heralded thetas=pi/4 windows=25"
     )
     assert lines[2] == ",".join(("theta_rad", "phase_rad", "counts", "expected_prob"))
     capsys.readouterr()
@@ -224,6 +225,48 @@ def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
     assert run(["sweep-mu", "--calibration", spaced, "--positions", "0:12:3",
                 "--format", "json", "-o", sweep]) == 0
     assert json.loads(sweep.read_text())["config"]["calibration"] == str(spaced)
+    capsys.readouterr()
+
+
+def _record_as_config(report: Path, cfg: Path) -> None:
+    """Write a report's run record to cfg, one key=value pair per line."""
+    text = report.read_text()
+    if report.suffix == ".json":
+        pairs = [f"{k}={v}" for k, v in json.loads(text)["config"].items()] + ["format=json"]
+    else:
+        line = next(line for line in text.splitlines() if line.startswith("# config: "))
+        pairs = line.removeprefix("# config: ").split(" ")
+        pairs = [
+            f"calibration={os.fsdecode(unquote_to_bytes(p.partition('=')[2]))}"
+            if p.startswith("calibration=") else p
+            for p in pairs
+        ]
+    cfg.write_text("\n".join(pairs) + "\n")
+
+
+def test_every_report_replays_from_its_run_record(tmp_path, capsys):
+    table = tmp_path / "sp dir" / "my table.csv"
+    table.parent.mkdir()
+    shutil.copyfile("data/calibration_synthetic_635nm.csv", table)
+    cases = [
+        ["fringes"],
+        ["fringes", "--mu", 0.4, "--delta", "pi / 3"],
+        ["fringes", "--mu1", 0.5, "--mu2", 0.8],
+        ["fringes", "--source", "coherent", "--nbar", 50, "--gamma", 0.8, "--background", 3],
+        ["fringes", "--thetas", " pi/4 ", "--phase-grid", "0:2pi\n:9"],
+        ["sweep-mu", "--mu-grid", "0:1:5", "--lambda", 0.05, "--dphi2", 0.1, "--epsilon", 0.7],
+        ["sweep-mu", "--calibration", table, "--positions", "0:12:4"],
+        ["sweep-mu", "--mu-grid", "0:1:3", "--source", "coherent", "--format", "json"],
+        ["compare", "--epsilon", 0.5],
+        ["compare", "--epsilon", 0.5, "--format", "json"],
+    ]
+    for argv in cases:
+        suffix = ".json" if "json" in argv else ".csv"
+        out, again, cfg = tmp_path / f"out{suffix}", tmp_path / f"again{suffix}", tmp_path / "run.cfg"
+        assert run([*argv, "-o", out]) == 0, argv
+        _record_as_config(out, cfg)
+        assert run([argv[0], "--config", cfg, "-o", again]) == 0, (argv, capsys.readouterr().err)
+        assert again.read_bytes() == out.read_bytes(), argv
     capsys.readouterr()
 
 
@@ -353,6 +396,24 @@ def test_config_file_and_override(tmp_path, capsys):
     # --config as the last token has no path to read
     assert run(["fringes", "-o", out_c, "--config"]) == 3
     assert "error: --config needs a path" in capsys.readouterr().err
+    # an abbreviation that argparse takes for --config reads the file too
+    assert run(["fringes", "--conf", cfg, "-o", out_c]) == 0
+    assert out_c.read_bytes() == out_a.read_bytes()
+    capsys.readouterr()
+    # a run reads one config file: a second one, or one named inside a config
+    # file, would be dropped without a word, so it is refused
+    other, nested = tmp_path / "other.cfg", tmp_path / "nested.cfg"
+    other.write_text("seed=9\n")
+    nested.write_text("epsilon=0.5\nconfig=other.cfg\n")
+    out_d = tmp_path / "d.csv"
+    for argv, reason in (
+        (["--config", cfg, "--config", other], "--config is given more than once"),
+        ([f"--config={cfg}", "--conf", other], "--config is given more than once"),
+        (["--config", nested], f"{nested}:2: a config file cannot read another one"),
+    ):
+        assert run(["fringes", *argv, "--thetas", "pi/4", "-o", out_d]) == 3
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not out_d.exists()
 
 
 def test_validation_exit_codes(tmp_path, capsys):
