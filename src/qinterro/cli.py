@@ -66,6 +66,8 @@ EXIT_IO = 4
 
 DEFAULT_THETAS = "0,pi/8,pi/4,3pi/8,pi/2"
 DEFAULT_PHASE_GRID = "0:2pi:25"
+# The most points a grid may have; the largest grid any documented run uses is 401.
+MAX_GRID_POINTS = 10**6
 
 _NEGATIVE_VALUE_RE = re.compile(r"-(?:[\d.]|pi)")
 _ANGLE_RE = re.compile(
@@ -102,7 +104,10 @@ def parse_angle_list(text: str) -> list[float]:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' with pi expressions into an inclusive grid."""
+    """Parse 'start:stop:count' with pi expressions into an inclusive grid.
+
+    A count above MAX_GRID_POINTS is refused before anything is allocated.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"grid spec must be start:stop:count, got {text!r}")
@@ -113,6 +118,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise CliError(f"grid count must be an integer, got {parts[2]!r}") from None
     if count < 2:
         raise CliError(f"grid needs at least 2 points, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise CliError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return np.linspace(start, stop, count)
 
 
@@ -409,6 +416,8 @@ def build_parser() -> _Parser:
 
     argparse keeps no state from one parse_args call to the next (each call
     fills a new Namespace), so main reuses this one parser for every call.
+    Its `commands` attribute maps each subcommand name to that subcommand's
+    parser, which main calls directly for an argv that starts with the name.
     """
     parser = _Parser(prog="qinterro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -465,6 +474,7 @@ def build_parser() -> _Parser:
     pc.add_argument("--output", "-o", required=True)
     pc.set_defaults(func=cmd_compare)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -517,12 +527,23 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one CLI call and return its exit code.
+
+    When argv starts with a subcommand's name, the rest of argv is parsed by
+    that subcommand's parser alone, in one pass. Anything else (an empty
+    argv, -h, an unknown command) goes through the top-level parser, so its
+    usage and error messages are argparse's own.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if argv and not argv[0].startswith("-"):
             argv = _inject_config(argv)
         parser = build_parser()
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
         with warnings.catch_warnings():  # resets the registry: each call warns once
             return args.func(args)
     except QInterroError as exc:

@@ -16,17 +16,19 @@ and time per point therefore do not grow with W.
 
 Reproducibility: the counts of point i come from a Philox stream keyed
 (k, i), where k = SeedSequence(seed).generate_state(1, uint64) is computed
-once per call; derived_rng(seed, i) returns that stream. Both it and
-_draw_totals take their Philox and its (k, 0) state from _keyed_stream,
-which reads no OS entropy, and write only the point word i of the key.
-_draw_totals does so once per call and assigns the state before each point,
-so a point costs one state assignment and its draws, and every output byte
-is the same as with one derived_rng per point. A point's count depends only on
-the seed, its index and its click probability, so identical inputs give
-bit-identical counts regardless of evaluation order.
+once per call; derived_rng(seed, i) returns that stream on a new Generator
+that the caller owns. Both it and _draw_totals take the state of the (k, 0)
+stream from _keyed_stream, which reads no OS entropy, and write only the
+point word i of the key. _draw_totals draws on one Generator per thread,
+built once, and assigns the full state before each point, so a point costs
+one state assignment and its draws, and every output byte is the same as
+with one derived_rng per point. A point's count depends only on the seed,
+its index and its click probability, so identical inputs give bit-identical
+counts regardless of evaluation order or thread.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
@@ -48,13 +50,12 @@ from .exceptions import DomainError
 SeedLike = Union[int, Sequence[int]]
 
 
-def _keyed_stream(seed: SeedLike) -> tuple[np.random.Generator, dict]:
-    """A Generator on the seed's Philox, and the state dict of its (k, 0) stream.
+def _keyed_stream(seed: SeedLike) -> dict:
+    """The state dict of the seed's (k, 0) Philox stream.
 
-    The Philox is seeded from the seed's own SeedSequence, so no OS entropy
-    is read (Philox(key=...) would read it for a seed sequence that the key
-    then discards). The state holds plain Python ints: set word 1 of its key
-    to i and assign it to the bit generator to start the stream of point i.
+    k is derived from the seed's own SeedSequence. The state holds plain
+    Python ints: set word 1 of its key to i and assign it to a Philox bit
+    generator to start the stream of point i.
     """
     if isinstance(seed, (int, np.integer)):
         parts = (int(seed),)
@@ -62,9 +63,8 @@ def _keyed_stream(seed: SeedLike) -> tuple[np.random.Generator, dict]:
         parts = tuple(int(s) for s in seed)
     for s in parts:
         uint64("seed entries", s)
-    seq = np.random.SeedSequence(parts)
-    key = int(seq.generate_state(1, np.uint64)[0])
-    state = {
+    key = int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
+    return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
         "buffer": [0, 0, 0, 0],
@@ -72,14 +72,29 @@ def _keyed_stream(seed: SeedLike) -> tuple[np.random.Generator, dict]:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(np.random.Philox(seq)), state
+
+
+def _philox_generator() -> np.random.Generator:
+    """A Generator on a Philox whose state the caller then assigns.
+
+    It is seeded from a fixed SeedSequence, so no OS entropy is read
+    (Philox() or Philox(key=...) would read it for a seed sequence that is
+    then discarded). No draw is made before a keyed state is assigned.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+
+
+# .rng is _draw_totals' Generator, built on the thread's first draw; not at
+# import, which would then load numpy.random for every import of the CLI
+_per_thread = threading.local()
 
 
 def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
-    """Generator of point `index` of the given base seed: Philox keyed (k, index)."""
+    """New Generator of point `index` of the given base seed: Philox keyed (k, index)."""
     index = uint64("stream index", index)
-    rng, state = _keyed_stream(seed)
+    state = _keyed_stream(seed)
     state["state"]["key"][1] = index
+    rng = _philox_generator()
     rng.bit_generator.state = state
     return rng
 
@@ -172,15 +187,19 @@ def _draw_totals(
     """Detections of each point summed over `windows` windows, as float64.
 
     Point i draws from the stream derived_rng(seed, i) returns: one variate
-    for the signal, then one for the background. _keyed_stream is called
-    once per call; before each point, word 1 of its state's key is set to i
-    and the state is assigned, which resets the counter and buffer to a
-    fresh (k, i) stream. Totals are exact int sums made float64 once, so
-    every output byte is as with derived_rng.
+    for the signal, then one for the background. The draws use this thread's
+    Generator, built once, and _keyed_stream is called once per call; before
+    each point, word 1 of its state's key is set to i and the whole state is
+    assigned, which resets the counter and buffer to a fresh (k, i) stream,
+    so nothing carries over from an earlier point or call. Totals are exact
+    int sums made float64 once, so every output byte is as with derived_rng.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
-    rng, state = _keyed_stream(seed)
+    state = _keyed_stream(seed)
+    rng = getattr(_per_thread, "rng", None)
+    if rng is None:
+        rng = _per_thread.rng = _philox_generator()
     bitgen = rng.bit_generator
     if isinstance(source, HeraldedSource):
         trials = source.pairs_per_window * int(windows)

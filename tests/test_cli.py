@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qinterro.analysis import visibility_no_absorber
 from qinterro.cli import (
+    MAX_GRID_POINTS,
     build_parser,
     main,
     parse_angle,
@@ -70,6 +71,26 @@ def test_parse_grid():
         parse_grid("0:1:1")
     with pytest.raises(DomainError):
         parse_grid("0:1:x")
+    assert parse_grid(f"0:1:{MAX_GRID_POINTS}").size == MAX_GRID_POINTS
+    with pytest.raises(DomainError, match=f"more than {MAX_GRID_POINTS} points"):
+        parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
+
+
+def test_a_huge_grid_count_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # 10**13 float64 points would take 72.8 TiB
+    out = tmp_path / "out.csv"
+    cal = Path(__file__).resolve().parents[1] / "data" / "calibration_synthetic_635nm.csv"
+    for args, spec in [
+        (["fringes", "--phase-grid", "0:1:10000000000000"], "0:1:10000000000000"),
+        (["sweep-mu", "--mu-grid", "0:1:10000000000000"], "0:1:10000000000000"),
+        (["sweep-mu", "--calibration", cal, "--positions", "0:12:10000000000000"],
+         "0:12:10000000000000"),
+    ]:
+        assert run(args + ["-o", out]) == 3
+        assert capsys.readouterr().err == (
+            f"error: grid {spec!r} has more than {MAX_GRID_POINTS} points\n"
+        )
+        assert not out.exists()
 
 
 def test_fringes_deterministic_bytes(tmp_path, capsys):
@@ -615,6 +636,45 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         build_parser.cache_clear()
         assert outcome(args) == got, args
     assert build_parser() is build_parser()
+
+
+def test_argparse_outcomes_are_the_top_level_parsers(tmp_path, capsys):
+    # main parses an argv that starts with a subcommand by that subcommand's
+    # parser alone; the exit code and message must be as through the top level
+    out = tmp_path / "out.csv"
+    pinned = [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "),
+        (["fringes", "--no-such-flag", "-o", out],
+         "error: unrecognized arguments: --no-such-flag\n"),
+        (["fringes"], "error: the following arguments are required: --output/-o\n"),
+        (["fringes", "--source", "laser", "-o", out],
+         "error: argument --source: invalid choice: 'laser' (choose from "),
+    ]
+    for args, err in pinned:
+        argv = [str(a) for a in args]
+        assert main(argv) == 3, args
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith(err), (args, got.err)
+        # the choices are quoted or not as the running argparse formats them
+        for name in ("fringes", "sweep-mu", "estimate", "compare") if args == ["bogus"] else ():
+            assert name in got.err
+        try:
+            build_parser().parse_args(argv)
+        except DomainError as exc:
+            assert got.err == f"error: {exc}\n", args
+        else:
+            raise AssertionError(f"the top-level parser accepted {args}")
+        assert not out.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-mu", "--help"])
+    assert exc.value.code == 0
+    got = capsys.readouterr()
+    assert got.out.startswith("usage: qinterro sweep-mu") and got.err == ""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep-mu", "--help"])
+    assert capsys.readouterr().out == got.out
 
 
 def test_values_that_start_with_a_minus(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -113,7 +115,56 @@ def test_seeding_reads_no_os_entropy(monkeypatch):
     reads.clear()
     derived_rng(7, 3).random()
     _draw_totals(HeraldedSource(10, background_rate=1.0), [0.5] * 3, 2, seed=7)
+    # a fresh thread builds its own sampler Generator on its first call
+    worker = threading.Thread(
+        target=_draw_totals, args=(CoherentSource(10.0, background_rate=1.0), [0.5] * 3, 2, 7)
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
     assert reads == []
+
+
+def test_derived_rng_returns_a_new_generator_each_call():
+    a, b = derived_rng(7, 3), derived_rng(7, 3)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    first = a.random(4).tolist()
+    assert b.random(4).tolist() == first  # drawing from a left b at the stream's start
+
+
+def test_threads_draw_the_totals_of_serial_calls():
+    # each thread samples on its own Generator; threads that interleave their
+    # calls, switching as often as the interpreter allows, get the serial totals
+    jobs = [
+        (HeraldedSource(300, background_rate=2.0), 11),
+        (CoherentSource(300.0, background_rate=2.0), 12),
+        (HeraldedSource(50), (13, 1)),
+        (CoherentSource(7.5), 2**64 - 1),
+    ]
+    batches = [[0.1 * (b % 10), 0.5, 1.0 - 0.03 * b] * 20 for b in range(20)]
+    serial = [[_draw_totals(src, probs, 40, seed).tolist() for probs in batches]
+              for src, seed in jobs]
+    got = [[] for _ in jobs]
+    turn = threading.Barrier(len(jobs), timeout=30)
+
+    def work(k):
+        src, seed = jobs[k]
+        for probs in batches:
+            turn.wait()
+            got[k].append(_draw_totals(src, probs, 40, seed).tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
 
 
 @pytest.mark.parametrize("src", [HeraldedSource(300), CoherentSource(300.0)])
