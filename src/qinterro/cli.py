@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import re
 import sys
@@ -143,11 +144,11 @@ def _source_from_args(args) -> HeraldedSource | CoherentSource:
 def _run_record(args) -> dict:
     """The run record: every parsed flag that has a value, under its flag name.
 
-    argparse's own entries and the flags that say where the output goes are
-    left out. Read it after the resolvers have filled in the source's rate
-    flag and an object's delta in radians.
+    argparse's own entries, --config and --output are left out; --format is
+    kept, since it sets the report's bytes. Read it after the resolvers have
+    filled in the source's rate flag and an object's delta in radians.
     """
-    skip = ("command", "func", "config", "output", "format")
+    skip = ("command", "func", "config", "output")
     return {k: v for k, v in vars(args).items() if v is not None and k not in skip}
 
 
@@ -286,7 +287,7 @@ def cmd_sweep_mu(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    report: dict = {"schema": "qinterro.estimate/1"}
+    report: dict = {"schema": "qinterro.estimate/1", "config": _run_record(args)}
     # a flag that would be dropped is refused, before any input is read
     if args.scan is not None:
         if args.std_error is not None:
@@ -423,7 +424,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser("fringes", help="Monte Carlo fringe scans per post-selection angle")
-    pf.add_argument("--config", help="key=value file supplying flag defaults")
+    pf.add_argument("--config", help="key=value file, or a report, supplying flag defaults")
     pf.add_argument("--epsilon", type=float, default=1.0)
     pf.add_argument("--thetas", default=DEFAULT_THETAS, help="comma list of post-selection angles")
     pf.add_argument("--phase-grid", default=DEFAULT_PHASE_GRID, help="start:stop:count")
@@ -437,7 +438,7 @@ def build_parser() -> _Parser:
     pf.set_defaults(func=cmd_fringes)
 
     ps = sub.add_parser("sweep-mu", help="interrogation probability versus transmittance")
-    ps.add_argument("--config", help="key=value file supplying flag defaults")
+    ps.add_argument("--config", help="key=value file, or a report, supplying flag defaults")
     ps.add_argument("--epsilon", type=float, default=1.0)
     ps.add_argument("--mu-grid", default=None, help="start:stop:count over [0, 1]")
     ps.add_argument("--calibration", default=None, help="calibration CSV path")
@@ -450,7 +451,7 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=cmd_sweep_mu)
 
     pe = sub.add_parser("estimate", help="invert a visibility for the object transmittance")
-    pe.add_argument("--config", help="key=value file supplying flag defaults")
+    pe.add_argument("--config", help="key=value file, or a report, supplying flag defaults")
     pe.add_argument("--visibility", type=float, default=None)
     pe.add_argument("--std-error", type=float, default=None)
     pe.add_argument("--scan", default=None, help="CSV of phase_rad,counts (or fringes output)")
@@ -466,7 +467,7 @@ def build_parser() -> _Parser:
     pe.set_defaults(func=cmd_estimate)
 
     pc = sub.add_parser("compare", help="scheme efficiency table")
-    pc.add_argument("--config", help="key=value file supplying flag defaults")
+    pc.add_argument("--config", help="key=value file, or a report, supplying flag defaults")
     pc.add_argument("--n-values", default="2,5,10", help="comma list of pass counts")
     pc.add_argument("--mu-values", default="0,0.25,0.5,0.75,1", help="comma list of mu")
     pc.add_argument("--epsilon", type=float, default=1.0)
@@ -483,26 +484,42 @@ _CONFIG_FLAGS = {"--config"[:n] for n in range(3, 9)}
 
 
 def _load_config_flags(path: str) -> list[str]:
+    """The flags of a key=value config file, or of a report's run record: the
+    JSON on a CSV report's "# config: " line, or a JSON report's "config"."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise NotUtf8Error(path, exc) from None
+    if text.startswith(("# schema=", "{")):  # a CSV or a JSON report
+        try:
+            if text[0] == "#":
+                record = json.loads(text.partition("\n# config: ")[2].partition("\n")[0])
+            else:
+                record = json.loads(text)["config"]
+        except (ValueError, KeyError, TypeError, RecursionError):  # the last: too deeply nested
+            record = None
+        if not isinstance(record, dict):
+            raise CliError(f"{path} is a report with no readable run record")
+        return [_config_flag(path, key, str(value)) for key, value in record.items()]
     flags = []
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(
-                f"{path}:{line_number}: expected key=value, got {line!r}"
-            )
-        flag = "--" + key.strip().replace("_", "-")
-        if flag in _CONFIG_FLAGS:
-            raise CliError(f"{path}:{line_number}: a config file cannot read another one")
-        flags.append(f"{flag}={value.strip()}")
+            raise CliError(f"{path}:{line_number}: expected key=value, got {line!r}")
+        flags.append(_config_flag(f"{path}:{line_number}", key, value.strip()))
     return flags
+
+
+def _config_flag(where: str, key: str, value: str) -> str:
+    """--key=value, with - for _ in the key; a key that names --config is refused."""
+    flag = "--" + key.strip().replace("_", "-")
+    if flag in _CONFIG_FLAGS:
+        raise CliError(f"{where}: a config file cannot read another one")
+    return f"{flag}={value}"
 
 
 def _inject_config(argv: list[str]) -> list[str]:
@@ -544,8 +561,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         else:
             args = command.parse_args(argv[1:])
-        with warnings.catch_warnings():  # resets the registry: each call warns once
-            return args.func(args)
+        # each distinct warning of the call is printed once, as one stable line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except QInterroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

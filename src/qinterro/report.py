@@ -11,7 +11,6 @@ import json
 import os
 import re
 from typing import Iterable, Iterator, Optional, Sequence
-from urllib.parse import quote
 
 import numpy as np
 
@@ -48,15 +47,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _config_comment(pairs: dict) -> str:
-    # No accepted flag text depends on its whitespace, and a newline would end
-    # the line, so it is dropped; a path needs its own, so it is percent-encoded
-    # instead (os.fsdecode(urllib.parse.unquote_to_bytes(value)) reads it back).
-    body = " ".join(
-        f"{k}={quote(os.fsencode(v)) if k == 'calibration' else ''.join(str(v).split())}"
-        for k, v in sorted(pairs.items())
-    )
-    return f"# config: {body}"
+def _config_comment(record: dict) -> str:
+    """The run-record line: the object a JSON report stores as config, as
+    sorted-key JSON, which escapes control characters, so it is one line."""
+    return "# config: " + json.dumps(record, sort_keys=True)
 
 
 # A column whose cells all have one of these exact types skips _fmt's checks;

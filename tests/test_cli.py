@@ -6,7 +6,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from urllib.parse import unquote_to_bytes
 
 import numpy as np
 import pytest
@@ -44,6 +43,12 @@ def read_fringe_sections(path):
             continue  # header row
         (points if section == "points" else summary).append(cells)
     return points, summary
+
+
+def read_record(path):
+    """The run record: the JSON on a CSV report's # config: line."""
+    line = next(line for line in path.read_text().splitlines() if line.startswith("# config: "))
+    return json.loads(line.removeprefix("# config: "))
 
 
 def test_parse_angle_forms():
@@ -202,9 +207,9 @@ def test_fringes_two_arm_object(tmp_path, capsys):
         phase, prob = float(cells[1]), float(cells[3])
         want = (mu1 + mu2 + 2 * eps * gamma * math.sqrt(mu1 * mu2) * math.cos(phase)) / 4
         assert abs(prob - want) <= 1e-12
-    config = out.read_text().splitlines()[1].split()
-    assert {"mu1=0.5", "mu2=0.7", "delta=0.0"} <= set(config)
-    assert not any(key.startswith("mu=") for key in config)
+    record = read_record(out)
+    assert (record["mu1"], record["mu2"], record["delta"]) == (0.5, 0.7, 0.0)
+    assert "mu" not in record
 
 
 def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
@@ -212,63 +217,57 @@ def test_config_line_records_the_run_on_one_line(tmp_path, capsys):
     assert run(["fringes", "--thetas", " pi/4 ", "--phase-grid", "0:2pi\n:9",
                 "--mu", 0.4, "--delta", "pi / 3", "-o", out]) == 0
     lines = out.read_text().splitlines()
+    # sorted-key JSON: each value as given, and its escapes keep the newline on the line
     assert lines[1] == (
-        "# config: background=0.0 delta=1.0471975511965976 epsilon=1.0 gamma=1.0 mu=0.4 "
-        "pairs=800 phase_grid=0:2pi:9 seed=42 source=heralded thetas=pi/4 windows=25"
+        '# config: {"background": 0.0, "delta": 1.0471975511965976, "epsilon": 1.0, '
+        '"gamma": 1.0, "mu": 0.4, "pairs": 800, "phase_grid": "0:2pi\\n:9", "seed": 42, '
+        '"source": "heralded", "thetas": " pi/4 ", "windows": 25}'
     )
+    record = json.loads(lines[1].removeprefix("# config: "))
+    assert lines[1] == "# config: " + json.dumps(record, sort_keys=True)
+    assert record["phase_grid"] == "0:2pi\n:9" and record["thetas"] == " pi/4 "
     assert lines[2] == ",".join(("theta_rad", "phase_rad", "counts", "expected_prob"))
     capsys.readouterr()
     assert run(["estimate", "--scan", out, "--theta", "pi/4", "--epsilon", 1]) == 0
     assert json.loads(capsys.readouterr().out)["points"] == 9
 
-    # --background changes the Monte Carlo column, so sweep-mu records it
+    # --background changes the Monte Carlo column, so sweep-mu records it;
+    # --format sets the report's bytes, so it is recorded too
     sweep = tmp_path / "sweep"
     assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "-o", sweep]) == 0
-    assert {"background=2.0", "mu_grid=0:1:3"} <= set(sweep.read_text().splitlines()[1].split())
+    record = read_record(sweep)
+    assert (record["background"], record["mu_grid"], record["format"]) == (2.0, "0:1:3", "csv")
     assert run(["sweep-mu", "--mu-grid", "0:1:3", "--background", 2, "--format", "json",
                 "-o", sweep]) == 0
+    # a JSON report's config is the same record
     config = json.loads(sweep.read_text())["config"]
-    assert config["background"] == 2.0 and config["mu_grid"] == "0:1:3"
+    assert config == {**record, "format": "json"}
     assert "calibration" not in config and "positions" not in config
     # so are the mu values, from a grid or from a table at given positions
     table = "data/calibration_synthetic_635nm.csv"
     assert run(["sweep-mu", "--calibration", table, "--positions", "0:12:4", "-o", sweep]) == 0
-    keys = set(sweep.read_text().splitlines()[1].split())
-    assert {f"calibration={table}", "positions=0:12:4"} <= keys
-    assert not any(key.startswith("mu_grid=") for key in keys)
-    # a path keeps its whitespace, percent-encoded, and the JSON config keeps it as given
+    record = read_record(sweep)
+    assert (record["calibration"], record["positions"]) == (table, "0:12:4")
+    assert "mu_grid" not in record
+    # a path keeps its whitespace as given, on the line and in the JSON config
     spaced = tmp_path / "sp dir" / "my table.csv"
     spaced.parent.mkdir()
     shutil.copyfile(table, spaced)
     assert run(["sweep-mu", "--calibration", spaced, "--positions", "0:12:3", "-o", sweep]) == 0
-    keys = set(sweep.read_text().splitlines()[1].split())
-    assert f"calibration={tmp_path}/sp%20dir/my%20table.csv" in keys
+    assert read_record(sweep)["calibration"] == str(spaced)
+    assert f'"calibration": "{tmp_path}/sp dir/my table.csv"' in sweep.read_text()
     assert run(["sweep-mu", "--calibration", spaced, "--positions", "0:12:3",
                 "--format", "json", "-o", sweep]) == 0
     assert json.loads(sweep.read_text())["config"]["calibration"] == str(spaced)
     capsys.readouterr()
 
 
-def _record_as_config(report: Path, cfg: Path) -> None:
-    """Write a report's run record to cfg, one key=value pair per line."""
-    text = report.read_text()
-    if report.suffix == ".json":
-        pairs = [f"{k}={v}" for k, v in json.loads(text)["config"].items()] + ["format=json"]
-    else:
-        line = next(line for line in text.splitlines() if line.startswith("# config: "))
-        pairs = line.removeprefix("# config: ").split(" ")
-        pairs = [
-            f"calibration={os.fsdecode(unquote_to_bytes(p.partition('=')[2]))}"
-            if p.startswith("calibration=") else p
-            for p in pairs
-        ]
-    cfg.write_text("\n".join(pairs) + "\n")
-
-
 def test_every_report_replays_from_its_run_record(tmp_path, capsys):
     table = tmp_path / "sp dir" / "my table.csv"
     table.parent.mkdir()
     shutil.copyfile("data/calibration_synthetic_635nm.csv", table)
+    scan = tmp_path / "scan.csv"
+    assert run(["fringes", "--thetas", "pi/8,pi/4", "--mu", 0.3, "-o", scan]) == 0
     cases = [
         ["fringes"],
         ["fringes", "--mu", 0.4, "--delta", "pi / 3"],
@@ -280,15 +279,42 @@ def test_every_report_replays_from_its_run_record(tmp_path, capsys):
         ["sweep-mu", "--mu-grid", "0:1:3", "--source", "coherent", "--format", "json"],
         ["compare", "--epsilon", 0.5],
         ["compare", "--epsilon", 0.5, "--format", "json"],
+        ["estimate", "--scan", scan, "--theta", "pi/4", "--epsilon", 0.9],
+        ["estimate", "--visibility", 0.5261724030305734, "--std-error", 0.01,
+         "--equal-arm-visibility", 0.63, "--mu1", 0.861, "--branch", "high"],
     ]
+    out, again = tmp_path / "out", tmp_path / "again"
     for argv in cases:
-        suffix = ".json" if "json" in argv else ".csv"
-        out, again, cfg = tmp_path / f"out{suffix}", tmp_path / f"again{suffix}", tmp_path / "run.cfg"
         assert run([*argv, "-o", out]) == 0, argv
-        _record_as_config(out, cfg)
-        assert run([argv[0], "--config", cfg, "-o", again]) == 0, (argv, capsys.readouterr().err)
+        # the report itself is the config file
+        assert run([argv[0], "--config", out, "-o", again]) == 0, (argv, capsys.readouterr().err)
         assert again.read_bytes() == out.read_bytes(), argv
     capsys.readouterr()
+
+
+def test_a_report_without_a_readable_record_is_refused(tmp_path, capsys):
+    report = tmp_path / "fringes.csv"
+    assert run(["fringes", "--thetas", "pi/4", "--phase-grid", "0:2pi:5", "-o", report]) == 0
+    text = report.read_text()
+    head, record_line, rest = text.split("\n", 2)
+    assert record_line.startswith('# config: {"background": 0.0, ')
+    bad, out = tmp_path / "bad", tmp_path / "again.csv"
+    no_record = f"{bad} is a report with no readable run record"
+    nested = f"{bad}: a config file cannot read another one"
+    for bad_text, reason in (
+        (f"{head}\n{rest}", no_record),  # the # config: line removed
+        (text.replace('"seed": 42', '"seed" 42'), no_record),  # malformed JSON
+        (f'{head}\n# config: ["seed", 42]\n{rest}', no_record),  # not an object
+        (text.replace('"seed": 42', '"config": "other.cfg", "seed": 42'), nested),
+        ('{\n  "rows": [],\n  "schema": "qinterro.compare/1"\n}\n', no_record),
+        ('{\n  "config": {"config": "other.cfg"},\n  "rows": []\n}\n', nested),
+        ('{\n  "config": "epsilon=0.5"\n}\n', no_record),
+        ('{"config": ' + "[" * 100000 + "]" * 100000 + "}", no_record),  # too deep to parse
+    ):
+        bad.write_text(bad_text)
+        assert run(["fringes", "--config", bad, "-o", out]) == 3, bad_text
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
 
 
 def test_fringes_round_trip_through_scan_reader(tmp_path, capsys):
@@ -403,12 +429,13 @@ def test_config_file_and_override(tmp_path, capsys):
     cfg.write_text("# defaults for the bench\nepsilon=0.5\nseed=7\nthetas=pi/4\n")
     out_a = tmp_path / "a.csv"
     assert run(["fringes", "--config", cfg, "-o", out_a]) == 0
-    assert "epsilon=0.5" in out_a.read_text() and "seed=7" in out_a.read_text()
+    record = read_record(out_a)
+    assert (record["epsilon"], record["seed"], record["thetas"]) == (0.5, 7, "pi/4")
 
     out_b = tmp_path / "b.csv"
     assert run(["fringes", "--config", cfg, "--epsilon", 0.8, "-o", out_b]) == 0
-    text = out_b.read_text()
-    assert "epsilon=0.8" in text and "seed=7" in text  # explicit flag wins
+    record = read_record(out_b)
+    assert (record["epsilon"], record["seed"]) == (0.8, 7)  # explicit flag wins
 
     out_c = tmp_path / "c.csv"
     assert run(["fringes", f"--config={cfg}", "-o", out_c]) == 0
@@ -700,6 +727,12 @@ def test_values_that_start_with_a_minus(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def jitter_warning(dphi2):
+    """The stderr line of the dphi2 warning: stable, with no path or source line."""
+    return (f"warning: dphi2 = {dphi2} exceeds 0.2; the second-order jitter expansion "
+            "is inaccurate there\n")
+
+
 def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
     # with Python's default warning filters, one run prints the dphi2 warning once
     root = Path(__file__).resolve().parent.parent
@@ -711,30 +744,29 @@ def test_sweep_mu_warns_once_for_large_jitter(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr.count("UserWarning") == 1, done.stderr
+    assert done.stderr == jitter_warning(0.45)
 
 
-def test_each_main_call_warns_once_for_large_jitter(tmp_path):
-    # Python's default filter shows a warning once per code location and
-    # process; each main() call still shows its own dphi2 warning once
+def test_each_main_call_warns_once_for_large_jitter(tmp_path, capsys):
+    # each main() call prints its own dphi2 warning once, and the warning
+    # itself does not escape main
     argv = ["sweep-mu", "--mu-grid", "0:1:3", "--dphi2", 0.3, "-o", tmp_path / "sweep.csv"]
     with warnings.catch_warnings(record=True) as shown:
-        warnings.resetwarnings()
-        warnings.simplefilter("default")
-        for calls in (1, 2):
+        warnings.simplefilter("always")
+        for _ in (1, 2):
             assert run(argv) == 0
-            assert len(shown) == calls
-            assert all(str(w.message).startswith("dphi2 = 0.3 exceeds") for w in shown)
+            assert capsys.readouterr().err == jitter_warning(0.3)
+    assert shown == []
 
 
 def test_sweep_mu_names_negative_jitter_values(tmp_path, capsys):
     # the jitter law assumes epsilon = 1; at epsilon 0 it goes below 0 for
     # mu > 1 - dphi2, and those values are written unchanged but named
     out = tmp_path / "sweep.csv"
-    with pytest.warns(UserWarning, match="dphi2 = 0.45 exceeds"):
-        assert run(["sweep-mu", "--epsilon", 0, "--dphi2", 0.45, "--mu-grid", "0:1:11",
-                    "-o", out]) == 0
+    assert run(["sweep-mu", "--epsilon", 0, "--dphi2", 0.45, "--mu-grid", "0:1:11",
+                "-o", out]) == 0
     err = capsys.readouterr().err
+    assert err.count(jitter_warning(0.45)) == 1
     assert err.count("i_prob_jitter is below 0") == 1
     assert "at mu = 0.6, 0.7, 0.8, 0.9, 1;" in err
     last = out.read_text().splitlines()[-1].split(",")
@@ -742,10 +774,9 @@ def test_sweep_mu_names_negative_jitter_values(tmp_path, capsys):
 
 
 def test_sweep_mu_at_full_purity_has_no_negative_jitter(tmp_path, capsys):
-    with pytest.warns(UserWarning, match="dphi2 = 0.45 exceeds"):
-        assert run(["sweep-mu", "--epsilon", 1, "--dphi2", 0.45, "--mu-grid", "0:1:11",
-                    "-o", tmp_path / "sweep.csv"]) == 0
-    assert "i_prob_jitter is below 0" not in capsys.readouterr().err
+    assert run(["sweep-mu", "--epsilon", 1, "--dphi2", 0.45, "--mu-grid", "0:1:11",
+                "-o", tmp_path / "sweep.csv"]) == 0
+    assert capsys.readouterr().err == jitter_warning(0.45)
 
 
 def _reference_csv_section(schema, columns, rows, *comments):
