@@ -1,7 +1,8 @@
-"""Scalar domain checks shared by every public entry point.
+"""Domain checks shared by every public entry point.
 
-Each helper returns the value as a float (uint64: as an int) or raises
-DomainError with a "<name> must be ..." message. They stay plain functions that build the
+Each scalar helper returns the value as a float (whole: as an int) or raises
+DomainError with a "<name> must be ..." message; each() applies one of them
+to every value of an array. They stay plain functions that build the
 message only on failure, because the bench calls them for every grid point.
 """
 from __future__ import annotations
@@ -42,9 +43,21 @@ def below_one(name: str, x) -> float:
     return float(x)
 
 
-def uint64(name: str, x) -> int:
-    """x as an int in [0, 2**64)."""
-    x = int(x)
-    if not 0 <= x < 2**64:
-        raise DomainError(f"{name} must be unsigned 64-bit, got {x}")
-    return x
+def whole(name: str, x, lo: int = 0, hi: float = math.inf) -> int:
+    """x as an int in [lo, hi); a fraction, nan or inf is refused, never truncated."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        n = None
+    if n is None or n != x or not lo <= n < hi:
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi})"
+        raise DomainError(f"{name} must be an integer {span}, got {x}")
+    return n
+
+
+def each(rule, name: str, values) -> None:
+    """Check every value of the ndarray values with rule(name, v) by checking
+    its least and greatest; a nan is both, and an empty array passes."""
+    if values.size:
+        rule(name, values.min())
+        rule(name, values.max())

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import jones
-from ._validate import finite, unit_interval
+from ._validate import each, finite, unit_interval
 from .exceptions import DomainError, InternalConsistencyError
 
 _QUARTER_PI = math.pi / 4
@@ -153,8 +153,7 @@ def detection_probs(cfg: BenchConfig, absorber: AbsorberSpec, phi2) -> np.ndarra
     phi2 = np.asarray(phi2, dtype=float)
     if phi2.ndim != 1:
         raise DomainError("phi2 must be a 1-d array")
-    if not np.isfinite(phi2).all():
-        raise DomainError(f"phi2 must be finite, got {phi2[~np.isfinite(phi2)][0]}")
+    each(finite, "phi2", phi2)
     rho = _before_second_prism(cfg, absorber)
     h, v = rho[0, 0], rho[1, 1]
     phase = np.exp(1j * phi2)

@@ -3,7 +3,7 @@
 The file format is CSV with header "position_mm,transmittance", optional
 blank lines, and comment lines starting with '#'. A comment of the form
 "# wavelength: <label>" names the curve. Positions must be strictly
-increasing; transmittances must lie in [0, 1]. Lookups interpolate linearly
+increasing; transmittances lie in [0, 1]. Lookups interpolate linearly
 and refuse to extrapolate.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from ._validate import finite
+from ._validate import each, finite, unit_interval
 from .exceptions import CalibrationParseError, DomainError, NotUtf8Error
 
 _HEADER = ("position_mm", "transmittance")
@@ -32,12 +32,10 @@ class CalibrationTable:
         mu = np.asarray(self.transmittances, dtype=float)
         if pos.ndim != 1 or pos.shape != mu.shape or pos.size < 2:
             raise DomainError("need at least 2 calibration rows of equal length")
-        if not (np.isfinite(pos).all() and np.isfinite(mu).all()):
-            raise DomainError("calibration values must be finite")
+        each(finite, "calibration positions", pos)
         if (np.diff(pos) <= 0).any():
             raise DomainError("calibration positions must be strictly increasing")
-        if (mu < 0).any() or (mu > 1).any():
-            raise DomainError("transmittances must lie in [0, 1]")
+        each(unit_interval, "transmittances", mu)
         pos.setflags(write=False)
         mu.setflags(write=False)
         object.__setattr__(self, "positions", pos)

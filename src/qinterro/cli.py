@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
 import warnings
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validate import finite, non_negative
+from ._validate import each, finite, non_negative, unit_interval
 from .analysis import (
     estimate_mu,
     estimate_mu_two_arm,
@@ -34,8 +34,8 @@ from .bench import BenchConfig, NO_ABSORBER, OneArmAbsorber, TwoArmAbsorber, i_p
 from .calibration import load_calibration, mu_at
 from .exceptions import (
     CliError,
+    DomainError,
     InfeasibleError,
-    NotUtf8Error,
     QInterroError,
     UndefinedVisibilityError,
 )
@@ -50,6 +50,8 @@ from .report import (
     _json_report,
     _json_text,
     _read_scan_csv,
+    _report_record,
+    _text_lines,
     _write_text,
 )
 from .schemes import compare_schemes
@@ -204,7 +206,7 @@ def cmd_fringes(args) -> int:
         except UndefinedVisibilityError as exc:
             # e.g. theta = 0 behind an opaque object: nothing survives to post-select
             summaries.append((theta,) + (None,) * (len(_SUMMARY_COLUMNS) - 1))
-            print(f"warning: theta={theta:.6g}: no fit, {exc}", file=sys.stderr)
+            warnings.warn(f"theta={theta:.6g}: no fit, {exc}")
             continue
         summaries.append((
             theta, res.visibility, res.std_error, res.d_max, res.d_min,
@@ -240,8 +242,10 @@ def _mu_grid_from_args(args) -> np.ndarray:
     if args.positions is not None:
         raise CliError("--positions needs --calibration: it selects points of a calibration table")
     grid = parse_grid(args.mu_grid)
-    if (grid < 0).any() or (grid > 1).any():
-        raise CliError("mu grid values must lie in [0, 1]")
+    try:
+        each(unit_interval, "mu grid values", grid)
+    except DomainError as exc:
+        raise CliError(str(exc)) from None
     return grid
 
 
@@ -275,10 +279,9 @@ def cmd_sweep_mu(args) -> int:
     # The jitter law is the paper's and assumes epsilon = 1; below that it can
     # go negative. Its values are written as they are, and named here.
     if negative:
-        print(
-            f"warning: i_prob_jitter is below 0 at mu = {', '.join(negative)}; "
-            "its law (1 + 2 epsilon - mu - dphi2) / 4 assumes epsilon = 1",
-            file=sys.stderr,
+        warnings.warn(
+            f"i_prob_jitter is below 0 at mu = {', '.join(negative)}; "
+            "its law (1 + 2 epsilon - mu - dphi2) / 4 assumes epsilon = 1"
         )
 
     _write_report(args, "qinterro.sweep_mu/1", _SWEEP_MU_COLUMNS, rows)
@@ -479,60 +482,59 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --config and the prefixes that argparse may take for it (--c is ambiguous in sweep-mu)
-_CONFIG_FLAGS = {"--config"[:n] for n in range(3, 9)}
+@functools.cache
+def _config_flags(command: str) -> frozenset[str]:
+    """--config and each prefix of it that argparse takes for it in the
+    subcommand: one that starts no other option (--c also starts
+    --calibration in sweep-mu, so argparse refuses it there as ambiguous)."""
+    options = build_parser().commands[command]._option_string_actions
+    prefixes = ("--config"[:n] for n in range(3, 9))
+    return frozenset(p for p in prefixes if [o for o in options if o.startswith(p)] == ["--config"])
 
 
-def _load_config_flags(path: str) -> list[str]:
-    """The flags of a key=value config file, or of a report's run record: the
-    JSON on a CSV report's "# config: " line, or a JSON report's "config"."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise NotUtf8Error(path, exc) from None
-    if text.startswith(("# schema=", "{")):  # a CSV or a JSON report
-        try:
-            if text[0] == "#":
-                record = json.loads(text.partition("\n# config: ")[2].partition("\n")[0])
-            else:
-                record = json.loads(text)["config"]
-        except (ValueError, KeyError, TypeError, RecursionError):  # the last: too deeply nested
-            record = None
-        if not isinstance(record, dict):
-            raise CliError(f"{path} is a report with no readable run record")
-        return [_config_flag(path, key, str(value)) for key, value in record.items()]
-    flags = []
-    for line_number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CliError(f"{path}:{line_number}: expected key=value, got {line!r}")
-        flags.append(_config_flag(f"{path}:{line_number}", key, value.strip()))
-    return flags
+def _load_config_flags(path: str, config_flags: frozenset[str]) -> list[str]:
+    """The flags of a key=value config file, read line by line, or of a
+    report's run record, which report._report_record finds."""
+    with open(path, "rb") as fh:
+        lines = _text_lines(path, fh)
+        first = next(lines, "")
+        if first.startswith(("# schema=", "{")):  # a CSV or a JSON report
+            record = _report_record(first, lines)
+            if record is None:
+                raise CliError(f"{path} is a report with no readable run record")
+            return [_config_flag(path, k, str(v), config_flags) for k, v in record.items()]
+        flags = []
+        for line_number, raw in enumerate(chain((first,), lines), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise CliError(f"{path}:{line_number}: expected key=value, got {line!r}")
+            flags.append(_config_flag(f"{path}:{line_number}", key, value.strip(), config_flags))
+        return flags
 
 
-def _config_flag(where: str, key: str, value: str) -> str:
+def _config_flag(where: str, key: str, value: str, config_flags: frozenset[str]) -> str:
     """--key=value, with - for _ in the key; a key that names --config is refused."""
     flag = "--" + key.strip().replace("_", "-")
-    if flag in _CONFIG_FLAGS:
+    if flag in config_flags:
         raise CliError(f"{where}: a config file cannot read another one")
     return f"{flag}={value}"
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Insert config-file values as flags right after the subcommand.
+def _inject_config(command: str, argv: list[str]) -> list[str]:
+    """argv after the subcommand, with config-file values put first as flags.
 
-    Explicit command-line flags come later in argv and therefore win. Like
-    argparse, this takes a prefix of --config for the flag; a run reads one
-    config file.
+    Explicit command-line flags come later and therefore win. Like argparse,
+    this takes a prefix of --config for the flag where the prefix is not
+    ambiguous; a run reads one config file.
     """
+    config_flags = _config_flags(command)
     paths = []
     for i, tok in enumerate(argv):
         flag, eq, path = tok.partition("=")
-        if flag in _CONFIG_FLAGS:
+        if flag in config_flags:
             if not eq:
                 if i + 1 >= len(argv):
                     raise CliError("--config needs a path")
@@ -540,7 +542,7 @@ def _inject_config(argv: list[str]) -> list[str]:
             paths.append(path)
     if len(paths) > 1:
         raise CliError("--config is given more than once: a run reads one config file")
-    return [argv[0]] + _load_config_flags(paths[0]) + argv[1:] if paths else argv
+    return _load_config_flags(paths[0], config_flags) + argv if paths else argv
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -553,15 +555,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and not argv[0].startswith("-"):
-            argv = _inject_config(argv)
         parser = build_parser()
         command = parser.commands.get(argv[0]) if argv else None
         if command is None:
             args = parser.parse_args(argv)
         else:
-            args = command.parse_args(argv[1:])
-        # each distinct warning of the call is printed once, as one stable line
+            args = command.parse_args(_inject_config(argv[0], argv[1:]))
+        # every warning of the call, from the package or from a subcommand, is
+        # printed here: each distinct message once, as one stable line
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -3,14 +3,16 @@
 fringes, sweep-mu and compare write their reports with _csv_section or
 _json_report, and estimate writes its JSON with the same serializer.
 estimate --scan reads a bare scan, or one theta of a fringes file, back
-with _read_scan_csv.
+with _read_scan_csv, and --config reads a report's run record back with
+_report_record.
 """
 from __future__ import annotations
 
 import json
 import os
 import re
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, takewhile
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,10 +49,48 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_CONFIG_PREFIX = "# config: "
+
+
 def _config_comment(record: dict) -> str:
     """The run-record line: the object a JSON report stores as config, as
     sorted-key JSON, which escapes control characters, so it is one line."""
-    return "# config: " + json.dumps(record, sort_keys=True)
+    return _CONFIG_PREFIX + json.dumps(record, sort_keys=True)
+
+
+def _report_record(first: str, lines: Iterator[str]) -> Optional[dict]:
+    """The run record of a report whose first line is `first` and whose next
+    lines `lines` yields, or None when it has none that reads as an object.
+
+    A JSON report is parsed whole for its "config" object. A CSV report's
+    record is the JSON on its "# config: " line, which lies among the
+    report's leading # lines, so no line after them is read.
+    """
+    is_json = first.startswith("{")
+    if is_json:
+        text = "\n".join(chain((first,), lines))
+    else:
+        head = takewhile(lambda line: line.startswith("#"), lines)
+        line = next((line for line in head if line.startswith(_CONFIG_PREFIX)), _CONFIG_PREFIX)
+        text = line[len(_CONFIG_PREFIX):]
+    try:
+        record = json.loads(text)
+        if is_json:
+            record = record["config"]
+    except (ValueError, KeyError, TypeError, RecursionError):  # the last: too deeply nested
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def _text_lines(path: str, fh: BinaryIO) -> Iterator[str]:
+    """The lines of a binary file without their ends, each decoded only when
+    it is reached; \\r\\n and a lone \\r end a line, as in text mode."""
+    for raw in fh:
+        try:
+            text = _universal_newlines(raw).decode()
+        except UnicodeDecodeError as exc:
+            raise NotUtf8Error(path, exc) from None
+        yield from text.removesuffix("\n").split("\n")
 
 
 # A column whose cells all have one of these exact types skips _fmt's checks;

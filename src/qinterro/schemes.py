@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._validate import unit_interval
+from ._validate import unit_interval, whole
 from .bench import i_prob
-from .exceptions import DomainError
 
 METRIC_FOOTNOTE = (
     "Efficiency metrics are not directly comparable across rows: the bound and "
@@ -53,8 +52,7 @@ def eta_npass(n: int) -> float:
 
     Approaches 1 as N grows; equals 1/4 at the minimum N = 2.
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"need an integer number of passes >= 2, got {n}")
+    whole("number of passes", n, lo=2)
     return math.cos(math.pi / (2.0 * n)) ** (2 * n)
 
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._validate import non_negative, uint64
+from ._validate import each, finite, non_negative, whole
 from .bench import (
     AbsorberSpec,
     BenchConfig,
@@ -57,12 +57,8 @@ def _keyed_stream(seed: SeedLike) -> dict:
     Python ints: set word 1 of its key to i and assign it to a Philox bit
     generator to start the stream of point i.
     """
-    if isinstance(seed, (int, np.integer)):
-        parts = (int(seed),)
-    else:
-        parts = tuple(int(s) for s in seed)
-    for s in parts:
-        uint64("seed entries", s)
+    entries = seed if np.iterable(seed) else (seed,)
+    parts = tuple(whole("seed entries", s, hi=2**64) for s in entries)
     key = int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
     return {
         "bit_generator": "Philox",
@@ -91,7 +87,7 @@ _per_thread = threading.local()
 
 def derived_rng(seed: SeedLike, index: int = 0) -> np.random.Generator:
     """New Generator of point `index` of the given base seed: Philox keyed (k, index)."""
-    index = uint64("stream index", index)
+    index = whole("stream index", index, hi=2**64)
     state = _keyed_stream(seed)
     state["state"]["key"][1] = index
     rng = _philox_generator()
@@ -107,12 +103,8 @@ class HeraldedSource:
     background_rate: float = 0.0
 
     def __post_init__(self):
-        n = self.pairs_per_window
-        if not (0 <= n < np.inf and int(n) == n):  # int() fails on nan and inf
-            raise DomainError(
-                f"pairs_per_window must be a non-negative integer, got {self.pairs_per_window}"
-            )
-        object.__setattr__(self, "pairs_per_window", int(self.pairs_per_window))
+        pairs = whole("pairs_per_window", self.pairs_per_window)
+        object.__setattr__(self, "pairs_per_window", pairs)
         non_negative("background_rate", self.background_rate)
 
     @property
@@ -158,10 +150,8 @@ class FringeScan:
         counts = np.asarray(self.counts, dtype=float)
         if phases.ndim != 1 or phases.shape != counts.shape:
             raise DomainError("phases and counts must be 1-d arrays of equal length")
-        if not np.isfinite(phases).all():
-            raise DomainError("phases must be finite")
-        if not np.isfinite(counts).all() or (counts < 0).any():
-            raise DomainError("counts must be finite and non-negative")
+        each(finite, "phases", phases)
+        each(non_negative, "counts", counts)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "counts", counts)
         if self.expected_probs is not None:
@@ -194,15 +184,14 @@ def _draw_totals(
     so nothing carries over from an earlier point or call. Totals are exact
     int sums made float64 once, so every output byte is as with derived_rng.
     """
-    if windows < 1:
-        raise DomainError("windows must be >= 1")
+    windows = whole("windows", windows, lo=1)
     state = _keyed_stream(seed)
     rng = getattr(_per_thread, "rng", None)
     if rng is None:
         rng = _per_thread.rng = _philox_generator()
     bitgen = rng.bit_generator
     if isinstance(source, HeraldedSource):
-        trials = source.pairs_per_window * int(windows)
+        trials = source.pairs_per_window * windows
         signal, params = partial(rng.binomial, trials), probs
     elif isinstance(source, CoherentSource):
         scale = windows * source.nbar
@@ -247,8 +236,7 @@ def simulate_fringe_scan(
     grid = np.asarray(phase_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("phase_grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all():
-        raise DomainError("phase_grid values must be finite")
+    each(finite, "phase_grid values", grid)
     _check_emits(source)
     # phi2 as BenchConfig.with_total_phase sets it
     probs = detection_probs(cfg, absorber, grid - cfg.phi1)

@@ -464,6 +464,49 @@ def test_config_file_and_override(tmp_path, capsys):
         assert not out_d.exists()
 
 
+def test_a_csv_report_is_read_as_a_config_only_up_to_its_record(tmp_path, capsys):
+    # bytes after the leading # lines are never read, so a byte that is not
+    # UTF-8 there does not stop the replay
+    report, tailed = tmp_path / "coherent.csv", tmp_path / "tailed.csv"
+    argv = ["--source", "coherent", "--nbar", 50, "--mu", 0.4, "--thetas", "pi/8,pi/4"]
+    assert run(["fringes", *argv, "-o", report]) == 0
+    tailed.write_bytes(report.read_bytes() + b"\xff\n")
+    again = tmp_path / "again.csv"
+    assert run(["fringes", "--config", tailed, "-o", again]) == 0, capsys.readouterr().err
+    assert again.read_bytes() == report.read_bytes()
+    # a key=value file is still read to its end, and a JSON report whole
+    cfg = tmp_path / "tailed.cfg"
+    cfg.write_bytes(b"epsilon=0.5\n# \xff\n")
+    json_report = tmp_path / "compare.json"
+    assert run(["compare", "--format", "json", "-o", json_report]) == 0
+    json_report.write_bytes(json_report.read_bytes() + b"\xff")
+    capsys.readouterr()
+    for path in (cfg, json_report):
+        assert run(["compare", "--config", path, "-o", tmp_path / "x.csv"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+def test_an_ambiguous_prefix_of_config_reads_no_file(tmp_path, capsys):
+    # in sweep-mu --c also starts --calibration: argparse refuses it, and
+    # the file, here a calibration table or no file at all, is not read
+    out = tmp_path / "s.csv"
+    for path in ("data/calibration_synthetic_635nm.csv", tmp_path / "nofile.csv"):
+        assert run(["sweep-mu", "--c", path, "--positions", "0:12:3", "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert "ambiguous option: --c could match --config, --calibration" in err
+        assert not out.exists()
+    # in fringes no other option starts with --c, so it reads the config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("thetas=pi/4\nseed=7\n")
+    assert run(["fringes", "--c", cfg, "-o", out]) == 0
+    assert (read_record(out)["thetas"], read_record(out)["seed"]) == ("pi/4", 7)
+    capsys.readouterr()
+    # and so does a config key of that name
+    cfg.write_text("c=other.cfg\n")
+    assert run(["fringes", "--config", cfg, "-o", out]) == 3
+    assert capsys.readouterr().err == f"error: {cfg}:1: a config file cannot read another one\n"
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     assert run(["fringes", "--thetas", "junk", "-o", tmp_path / "x.csv"]) == 3
     assert run(["fringes", "--no-such-flag", "-o", tmp_path / "x.csv"]) == 3
@@ -475,7 +518,7 @@ def test_validation_exit_codes(tmp_path, capsys):
         (["fringes", "--mu2", 0.5], "--mu2 requires --mu1"),
         (["sweep-mu", "--calibration", "data/calibration_synthetic_635nm.csv"],
          "--calibration requires --positions start:stop:count"),
-        (["sweep-mu", "--mu-grid", "0:1.5:3"], "mu grid values must lie in [0, 1]"),
+        (["sweep-mu", "--mu-grid", "0:1.5:3"], "mu grid values must be in [0, 1], got 1.5"),
     ):
         assert run([*argv, "-o", tmp_path / "x.csv"]) == 3
         assert f"error: {reason}" in capsys.readouterr().err
@@ -771,6 +814,21 @@ def test_sweep_mu_names_negative_jitter_values(tmp_path, capsys):
     assert "at mu = 0.6, 0.7, 0.8, 0.9, 1;" in err
     last = out.read_text().splitlines()[-1].split(",")
     assert float(last[0]) == 1.0 and last[4] == "-0.1125"
+
+
+def test_every_warning_line_comes_after_the_command(tmp_path, capsys):
+    # both subcommands raise their warnings, and main prints each distinct
+    # one once, in the order raised: a repeated theta's no-fit line once
+    assert run(["fringes", "--mu", 0, "--thetas", "0,pi/4,0", "-o", tmp_path / "f.csv"]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: theta=0: no fit, all counts are zero\n"
+    # the dphi2 warning is raised in the loop, the negative-jitter one after it
+    assert run(["sweep-mu", "--epsilon", 0, "--dphi2", 0.45, "--mu-grid", "0:1:3",
+                "-o", tmp_path / "s.csv"]) == 0
+    assert capsys.readouterr().err == jitter_warning(0.45) + (
+        "warning: i_prob_jitter is below 0 at mu = 1; "
+        "its law (1 + 2 epsilon - mu - dphi2) / 4 assumes epsilon = 1\n"
+    )
 
 
 def test_sweep_mu_at_full_purity_has_no_negative_jitter(tmp_path, capsys):

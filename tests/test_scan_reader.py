@@ -84,9 +84,9 @@ def test_scan_reader_selects_rows(tmp_path, text, theta, want, newline):
     ("phase_rad,counts,extra\n0.0,10,x\n1.5,4,y\n", "pi/4",
      "--theta cannot be used with a bare scan: "),
     # a used row that parses but that FringeScan refuses
-    (f"{HEADER}\n{Q},nan,3,0\n", "pi/4", "phases must be finite in "),
-    (f"{HEADER}\n{Q},1.0,1e400,0\n", "pi/4", "counts must be finite and non-negative in "),
-    ("phase_rad,counts\n1.0,-1\n", None, "counts must be finite and non-negative in "),
+    (f"{HEADER}\n{Q},nan,3,0\n", "pi/4", "phases must be finite, got nan in "),
+    (f"{HEADER}\n{Q},1.0,1e400,0\n", "pi/4", "counts must be >= 0, got inf in "),
+    ("phase_rad,counts\n1.0,-1\n", None, "counts must be >= 0, got -1.0 in "),
 ])
 def test_scan_reader_errors(tmp_path, capsys, text, theta, message):
     path = write(tmp_path, text)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qinterro.bench import BenchConfig, OneArmAbsorber, detection_prob, i_prob
 from qinterro.exceptions import DomainError
+from qinterro.schemes import eta_npass
 from qinterro.sources import (
     CoherentSource,
     FringeScan,
@@ -29,7 +30,7 @@ def test_source_validation():
     with pytest.raises(DomainError):
         HeraldedSource(pairs_per_window=2.5)
     for pairs in (float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="pairs_per_window must be a non-negative integer"):
+        with pytest.raises(DomainError, match="pairs_per_window must be an integer >= 0, got"):
             HeraldedSource(pairs_per_window=pairs)
     with pytest.raises(DomainError):
         CoherentSource(nbar=-1.0)
@@ -267,6 +268,40 @@ def test_scan_validation():
         simulate_fringe_scan(src, BenchConfig(), phase_grid=[0.0, 1.0], windows_per_point=0, seed=0)
     with pytest.raises(DomainError):
         simulate_fringe_scan(src, BenchConfig(), phase_grid=[0.0, 1.0], seed=-1)
+
+
+NAN, INF = math.nan, math.inf
+_U64 = 2**64
+_SOURCES = (HeraldedSource(800), CoherentSource(800.0))
+
+
+def _scan(source, windows=1, seed=0):
+    return lambda: simulate_fringe_scan(
+        source, BenchConfig(), phase_grid=[0.0, 1.0], windows_per_point=windows, seed=seed
+    )
+
+
+def _iprob(source, windows=1, seed=0):
+    return lambda: simulate_interrogation_prob(source, 0.5, windows=windows, seed=seed)
+
+
+# Each whole number is checked by _validate.whole: a fraction, nan or inf is
+# refused with its message, where int() would have truncated it or failed bare.
+@pytest.mark.parametrize("call, message", [
+    *[(sim(src, windows=w), f"windows must be an integer >= 1, got {w}")
+      for sim in (_scan, _iprob) for src in _SOURCES for w in (2.5, NAN, INF)],
+    (_scan(_SOURCES[0], seed=1.5), f"seed entries must be an integer in [0, {_U64}), got 1.5"),
+    (_iprob(_SOURCES[1], seed=(1.5, 0)),
+     f"seed entries must be an integer in [0, {_U64}), got 1.5"),
+    (lambda: derived_rng(1, 2.5), f"stream index must be an integer in [0, {_U64}), got 2.5"),
+    (lambda: derived_rng(1, NAN), f"stream index must be an integer in [0, {_U64}), got nan"),
+    (lambda: eta_npass(NAN), "number of passes must be an integer >= 2, got nan"),
+    (lambda: eta_npass(INF), "number of passes must be an integer >= 2, got inf"),
+])
+def test_whole_number_refusals(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_fringe_scan_validation():

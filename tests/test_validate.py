@@ -1,10 +1,11 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qinterro import _validate
-from qinterro._validate import below_one, finite, non_negative, uint64, unit_interval
+from qinterro._validate import below_one, each, finite, non_negative, unit_interval, whole
 from qinterro.exceptions import DomainError
 
 NAN, INF = math.nan, math.inf
@@ -51,18 +52,47 @@ def test_below_one_edges():
 
 def test_uint64_edges():
     for x in (0, 2**64 - 1, 3.0):
-        assert uint64("stream index", x) == int(x)
-    for x in (-1, 2**64):
+        assert whole("stream index", x, hi=2**64) == int(x)
+        assert type(whole("stream index", x, hi=2**64)) is int
+    for x in (-1, 2**64, 2.5, NAN, INF):
         with pytest.raises(DomainError) as exc:
-            uint64("stream index", x)
-        assert str(exc.value) == f"stream index must be unsigned 64-bit, got {x}"
+            whole("stream index", x, hi=2**64)
+        assert str(exc.value) == f"stream index must be an integer in [0, {2**64}), got {x}"
+
+
+def test_whole_without_upper_bound():
+    assert whole("windows", 10**30, lo=1) == 10**30
+    assert whole("windows", 1.0, lo=1) == 1
+    for x in (0, -INF, INF, NAN, 1.5, "2", None):
+        with pytest.raises(DomainError) as exc:
+            whole("windows", x, lo=1)
+        assert str(exc.value) == f"windows must be an integer >= 1, got {x}"
+
+
+def test_each_checks_the_least_and_greatest_value():
+    each(finite, "x", np.array([]))
+    each(unit_interval, "mu", np.array([0.0, 0.5, 1.0]))
+    for bad, got in ((NAN, "nan"), (-INF, "-inf"), (INF, "inf")):
+        values = np.array([0.5, bad, 0.25])
+        with pytest.raises(DomainError) as exc:
+            each(finite, "phases", values)
+        assert str(exc.value) == f"phases must be finite, got {got}"
+    with pytest.raises(DomainError, match=r"^counts must be >= 0, got -1.0$"):
+        each(non_negative, "counts", np.array([3.0, -1.0, 2.0]))
+    with pytest.raises(DomainError, match=r"^mu must be in \[0, 1\], got 1.5$"):
+        each(unit_interval, "mu", np.array([0.0, 1.5]))
 
 
 def test_unit_interval_message_lives_in_one_module():
     # Range checks go through _validate so that every entry point reports
     # the same message; a hand-written copy elsewhere would drift.
     package = Path(_validate.__file__).parent
-    for message in ("must be in [0, 1]", "must be in [0, 1)", "must be unsigned 64-bit"):
+    # the rest are wordings of checks that _validate has replaced
+    for message in (
+        "must be in [0, 1]", "must be in [0, 1)", "must be unsigned 64-bit",
+        "must lie in [0, 1]", "non-negative integer", "windows must be >= 1",
+        "finite and non-negative", "values must be finite", "integer number of passes",
+    ):
         offenders = [
             path.name
             for path in sorted(package.glob("*.py"))
